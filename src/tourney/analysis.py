@@ -19,6 +19,8 @@ from .core import Tournament
 from .counting import (
     EmpiricalDistribution,
     ReferenceDistribution,
+    _factorial_sum,
+    _quads_from_sums,
     arc_flag_count_arrays,
     ks_distance,
     quad_counts,
@@ -148,9 +150,9 @@ def identity_suite(t: Tournament) -> list:
     tr3, c3 = triple_counts(t)
     tr4, w4, l4, r4 = quad_counts(t)
     arrays = arc_flag_count_arrays(t)
-    sums = {f: int(arrays[f].sum(dtype=object)) for f in ("o", "i", "tr", "c")}
-    fsums = {g: int((arrays[g] * (arrays[g] - 1)).sum(dtype=object))
-             for g in ("o", "i", "tr", "c", "oi", "ctr")}
+    # plain sums are below the factorial sums' int64 bound, checked there
+    sums = {f: int(arrays[f].sum()) for f in ("o", "i", "tr", "c")}
+    fsums = {g: _factorial_sum(arrays[g]) for g in ("o", "i", "tr", "c", "oi", "ctr")}
     return _identity_checks(t.n, tr3, c3, tr4, w4, l4, r4, sums, fsums)
 
 
@@ -170,7 +172,6 @@ class ReportConfig:
     delta: float = 0.05
     samples: int = 1_000_000
     seed: object = 0
-    bins: int | None = None
     exact_limit: int = 4000
     floor: float = 0.02
     slack: float = 4.0
@@ -213,10 +214,11 @@ def _gather_counts(t: Tournament, config: ReportConfig) -> dict:
     b3 = math.comb(n, 3)
     info = {"n": n, "p_c3": c3 / b3, "mode": "exact"}
     if n <= config.exact_limit:
-        tr4, w4, l4, r4 = quad_counts(t)
+        arrays = arc_flag_count_arrays(t)
+        tr4, w4, l4, r4 = _quads_from_sums(
+            t, _factorial_sum(arrays["o"]) // 2, _factorial_sum(arrays["tr"]) // 2)
         b4 = math.comb(n, 4)
         info.update(p_tr4=tr4 / b4, p_w4=w4 / b4, p_l4=l4 / b4, p_r4=r4 / b4)
-        arrays = arc_flag_count_arrays(t)
     else:
         sq = sampled_quad_densities(t, config.samples, config.seed)
         info.update(p_tr4=sq.p_tr4, p_w4=sq.p_w4, p_l4=sq.p_l4, p_r4=sq.p_r4,

@@ -3,8 +3,8 @@
 Subcommands: gen, stats, arcflags, check, loctrans, sweep-w4, convert.
 Machine output (JSON / CSV, always with "schema": 1) goes to stdout, human
 prose to stderr.  Exit codes: 0 success, 1 validation error, 2 I/O or parse
-error.  Seeds accept decimal or 0x-hex.  TOURNEY_THREADS caps worker
-threads.
+error.  Seeds accept decimal or 0x-hex.  The exact census threads through
+numpy's BLAS; its own setting (e.g. OPENBLAS_NUM_THREADS) caps the threads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .counting import (
     ks_distance,
     sampled_quad_densities,
 )
-from .errors import NotBalanced, TourneyError
+from .errors import TourneyError
 from .generators import (
     LayeredSpec,
     carousel,
@@ -40,7 +40,7 @@ from .generators import (
     random_uniform,
     transitive,
 )
-from .loctrans import brouwer_order, carousel_isomorphism, find_obstruction
+from .loctrans import _brouwer_order, _carousel_isomorphism, find_obstruction
 
 SCHEMA = 1
 
@@ -116,12 +116,11 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("check", help="diagnostic report battery as JSON")
     c.add_argument("path")
     c.add_argument("--profile", required=True, choices=["carousel", "random"])
-    c.add_argument("--config", default=None, help="key=value file (eps, delta, samples, seed, bins)")
+    c.add_argument("--config", default=None, help="key=value file (eps, delta, samples, seed)")
     c.add_argument("--eps", type=float, default=None)
     c.add_argument("--delta", type=float, default=None)
     c.add_argument("--samples", type=int, default=None)
     c.add_argument("--seed", type=_seed, default=None)
-    c.add_argument("--bins", type=int, default=None)
     c.add_argument("--exact-limit", type=int, default=None)
 
     l = sub.add_parser("loctrans", help="local transitivity, witness, order, isomorphism")
@@ -164,10 +163,10 @@ def _cmd_gen(args) -> int:
     else:
         t = digraphon_sample(n, args.seed)
     try:
-        tio.write_trn(t, args.out)
+        text = tio.write_trn(t, args.out)
     except OSError as exc:
         raise _CliError(f"cannot write {args.out}: {exc}", 2)
-    digest = hashlib.sha256(tio.dumps_trn(t).encode()).hexdigest()
+    digest = hashlib.sha256(text.encode()).hexdigest()
     _emit({"command": "gen", "kind": kind, "n": n, "t": args.t,
            "seed": args.seed, "out": args.out, "sha256": digest})
     return 0
@@ -226,7 +225,7 @@ def _cmd_arcflags(args) -> int:
 
 
 def _parse_config_file(path: str) -> dict:
-    allowed = {"eps": float, "delta": float, "samples": int, "seed": _seed, "bins": int}
+    allowed = {"eps": float, "delta": float, "samples": int, "seed": _seed}
     got = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -254,7 +253,7 @@ def _cmd_check(args) -> int:
     overrides = {}
     if args.config:
         overrides.update(_parse_config_file(args.config))
-    for key in ("eps", "delta", "samples", "seed", "bins", "exact_limit"):
+    for key in ("eps", "delta", "samples", "seed", "exact_limit"):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val
@@ -280,12 +279,12 @@ def _cmd_loctrans(args) -> int:
     if obs is not None:
         out["obstruction"] = obs.to_json_dict()
     else:
-        order = brouwer_order(t)
+        order = _brouwer_order(t)
         out["cyclic_order"] = list(order.order)
         try:
-            iso = carousel_isomorphism(t)
+            iso = _carousel_isomorphism(t, order)
             out["carousel_isomorphism"] = [int(x) for x in iso]
-        except (NotBalanced, TourneyError) as exc:
+        except TourneyError as exc:
             out["carousel_isomorphism"] = None
             out["carousel_isomorphism_error"] = type(exc).__name__
     _emit(out)

@@ -1,10 +1,15 @@
-"""Exact bit-parallel subtournament counting and per-arc flag statistics.
+"""Exact subtournament counting and per-arc flag statistics.
 
-Order-3/4 counts are exact integers obtained from word-wise AND + popcount
-over packed adjacency rows; total work for the order-4 census is
-O(n^3 / word).  Per-arc flag counts (the four ways a third vertex can
-attach to an arc) feed empirical distributions that are compared against
-uniform or point-mass references with a sup-norm (KS) distance.
+The exact counts rest on the co-degree o(u, v) = |N+(u) & N+(v)|, entry
+(u, v) of O = A A^T for the 0/1 adjacency matrix A.  For an arc u -> v the
+outdegrees d give the other flags: tr = d(u) - o - 1, c = d(v) - o and
+i = n - 2 - o - tr - c; sums of C(o, 2) and C(tr, 2) over arcs fix the
+order-4 census.  One kernel computes O in row blocks of float32 BLAS
+products, exact while n < 2**24 because every partial sum is an integer at
+most n; a larger order raises ExactnessBound before anything is allocated.
+Flag counts feed empirical distributions compared against uniform or
+point-mass references by a sup-norm (KS) distance.  The sampled paths test
+packed bits instead.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _bits, _parallel
+from . import _bits
 from .core import Tournament
-from .errors import EmptyDistribution, NotAnArc, OrderTooSmall
+from .errors import EmptyDistribution, ExactnessBound, NotAnArc, OrderTooSmall
 
 FLAG_COMBOS = ("o", "i", "tr", "c", "oi", "ctr")
 
@@ -79,47 +84,67 @@ def triple_counts(t: Tournament) -> tuple:
     return tr3, _binom(t.n, 3) - tr3
 
 
-def _chunks(n: int, words: int, target_bytes: int = 1 << 26) -> list:
-    """Vertex chunks sized so one (chunk, n, words) uint64 block stays modest."""
-    per_row = max(1, n * words * 8)
-    b = max(1, min(128, target_bytes // per_row))
-    return [np.arange(lo, min(lo + b, n)) for lo in range(0, n, b)]
+_FLOAT32_EXACT = 1 << 24   # float32 holds every integer up to 2**24
+# int64 bytes of one O row block; consumers hold a few temporaries this size
+_BLOCK_BYTES = 1 << 20
+
+
+def _codegree_blocks(t: Tournament):
+    """Row blocks (lo, A[lo:hi] as bools, O[lo:hi] as int64) of O = A A^T.
+
+    The order is checked before anything is allocated.
+    """
+    n = t.n
+    if n >= _FLOAT32_EXACT:
+        raise ExactnessBound(f"the co-degree kernel is exact only for n < 2**24, got {n}")
+    arcs = t.matrix()
+    a = arcs.astype(np.float32)
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    return ((lo, arcs[lo:lo + step], (a[lo:lo + step] @ a.T).astype(np.int64))
+            for lo in range(0, n, step))
+
+
+def _transitive_triples_by_vertex(t: Tournament) -> tuple:
+    """Per-vertex transitive triple counts inside N+(v) and inside N-(v).
+
+    o(v, u) is u's outdegree inside N+(v) for an arc v -> u, and tr(u -> v)
+    is u's outdegree inside N-(v) for an arc u -> v; a transitive triple has
+    one member beating the other two, so the row sums of C(o, 2) and the
+    column sums of C(tr, 2) over arcs count them.  Each count is at most
+    C(n-1, 3): exact in int64 for any n whose A fits in memory.
+    """
+    blocks = _codegree_blocks(t)
+    d = t.outdegrees()
+    tr3_out = np.zeros(t.n, dtype=np.int64)
+    tr3_in = np.zeros(t.n, dtype=np.int64)
+    for lo, arcs, o in blocks:
+        hi = lo + arcs.shape[0]
+        tr3_out[lo:hi] = np.where(arcs, o * (o - 1) // 2, 0).sum(axis=1)
+        tr = d[lo:hi, None] - o - 1
+        tr3_in += np.where(arcs, tr * (tr - 1) // 2, 0).sum(axis=0)
+    return tr3_out, tr3_in
+
+
+def _quads_from_sums(t: Tournament, tr4: int, in_tr3: int) -> tuple:
+    """(tr4, w4, l4, r4) from the arc sums of C(o, 2) and of C(tr, 2).
+
+    Transitive triples inside N+(v) are TR4s with source v, cyclic ones W4s
+    with apex v; N-(v) gives the L4s dually; R4 is the remainder.
+    """
+    n = t.n
+    d = t.outdegrees()
+    w4 = sum(_binom(int(dd), 3) for dd in d) - tr4
+    l4 = sum(_binom(int(n - 1 - dd), 3) for dd in d) - in_tr3
+    r4 = _binom(n, 4) - tr4 - w4 - l4
+    return tr4, w4, l4, r4
 
 
 def quad_counts(t: Tournament) -> tuple:
-    """Exact (tr4, w4, l4, r4) over all C(n,4) quadruples.
-
-    For each vertex v the induced out-neighbourhood census comes from
-    |N+(u) & N+(v)| popcounts: the transitive triples inside N+(v) yield
-    TR4s with source v, the cyclic ones yield W4s with apex v; dually for
-    in-neighbourhoods and L4; R4 is the remainder.
-    """
+    """Exact (tr4, w4, l4, r4) over all C(n,4) quadruples."""
     if t.n < 4:
         raise OrderTooSmall(f"quad counts need n >= 4, got {t.n}")
-    n = t.n
-    out, inp = t.out_packed, t.in_packed
-    d = t.outdegrees()
-
-    def job(vs: np.ndarray) -> tuple:
-        # cnt_out[k, u] = |N+(u) & N+(vs[k])|, similarly against N-(vs[k])
-        cnt_out = np.bitwise_count(out[None, :, :] & out[vs, None, :]).sum(axis=2, dtype=np.int64)
-        cnt_in = np.bitwise_count(out[None, :, :] & inp[vs, None, :]).sum(axis=2, dtype=np.int64)
-        mask_out = _bits.unpack_rows(out[vs], n)
-        mask_in = _bits.unpack_rows(inp[vs], n)
-        # within-chunk sums fit int64: terms are <= C(n,2) over <= 128*n cells
-        tr4_part = int((np.where(mask_out, cnt_out * (cnt_out - 1) // 2, 0)).sum(dtype=np.int64))
-        l4tr_part = int((np.where(mask_in, cnt_in * (cnt_in - 1) // 2, 0)).sum(dtype=np.int64))
-        return tr4_part, l4tr_part
-
-    tr4 = 0
-    in_tr3 = 0
-    for tr4_part, l4tr_part in _parallel.map_jobs(job, _chunks(n, out.shape[1])):
-        tr4 += tr4_part
-        in_tr3 += l4tr_part
-    w4 = int(sum(_binom(int(dd), 3) for dd in d)) - tr4
-    l4 = int(sum(_binom(int(n - 1 - dd), 3) for dd in d)) - in_tr3
-    r4 = _binom(n, 4) - tr4 - w4 - l4
-    return tr4, w4, l4, r4
+    tr3_out, tr3_in = _transitive_triples_by_vertex(t)
+    return _quads_from_sums(t, int(tr3_out.sum(dtype=object)), int(tr3_in.sum(dtype=object)))
 
 
 @dataclass(frozen=True)
@@ -261,37 +286,34 @@ def arc_flag_count_arrays(t: Tournament, combos=FLAG_COMBOS) -> dict:
     if t.n < 3:
         raise OrderTooSmall(f"arc flags need n >= 3, got {t.n}")
     combos = tuple(_COMBO_ALIASES[c] for c in combos)
-    need = set()
-    for cb in combos:
-        need.update({"oi": {"o", "i"}, "ctr": {"c", "tr"}}.get(cb, {cb}))
     n = t.n
-    out, inp = t.out_packed, t.in_packed
+    blocks = _codegree_blocks(t)
+    d = t.outdegrees()
+    flat = {f: np.empty(n * (n - 1) // 2, dtype=np.int64) for f in ("o", "i", "tr", "c")}
+    at = 0
+    for lo, arcs, o_block in blocks:
+        tails, heads = np.nonzero(arcs)
+        part = slice(at, at + tails.size)
+        o = flat["o"][part] = o_block[tails, heads]
+        tr = flat["tr"][part] = d[lo + tails] - o - 1
+        c = flat["c"][part] = d[heads] - o
+        flat["i"][part] = n - 2 - o - tr - c
+        at = part.stop
+    pairs = {"oi": ("o", "i"), "ctr": ("c", "tr")}
+    return {cb: flat[pairs[cb][0]] + flat[pairs[cb][1]] if cb in pairs else flat[cb]
+            for cb in combos}
 
-    def job(vs: np.ndarray) -> dict:
-        # fix the arc head v; the in-neighbours u of v are the arc tails
-        head_mask = _bits.unpack_rows(inp[vs], n)
-        got = {}
-        if "o" in need:
-            got["o"] = np.bitwise_count(out[None, :, :] & out[vs, None, :]).sum(axis=2, dtype=np.int64)
-        if "i" in need:
-            got["i"] = np.bitwise_count(inp[None, :, :] & inp[vs, None, :]).sum(axis=2, dtype=np.int64)
-        if "tr" in need:
-            got["tr"] = np.bitwise_count(out[None, :, :] & inp[vs, None, :]).sum(axis=2, dtype=np.int64)
-        if "c" in need:
-            got["c"] = np.bitwise_count(inp[None, :, :] & out[vs, None, :]).sum(axis=2, dtype=np.int64)
-        return {k: v[head_mask] for k, v in got.items()}
 
-    parts = _parallel.map_jobs(job, _chunks(n, out.shape[1]))
-    flat = {k: np.concatenate([p[k] for p in parts]) for k in need}
-    result = {}
-    for cb in combos:
-        if cb == "oi":
-            result[cb] = flat["o"] + flat["i"]
-        elif cb == "ctr":
-            result[cb] = flat["c"] + flat["tr"]
-        else:
-            result[cb] = flat[cb]
-    return result
+def _factorial_sum(counts: np.ndarray) -> int:
+    """Exact sum of c*(c-1) over an int64 array, in int64.
+
+    Raises ExactnessBound unless max|c| * (max|c| + 1) * size < 2**63, which
+    bounds every term and partial sum: flag counts meet it for n < ~65 000.
+    """
+    top = int(np.abs(counts).max(initial=0))
+    if top * (top + 1) * counts.size >= 1 << 63:
+        raise ExactnessBound(f"int64 factorial sum of {counts.size} counts up to {top} may overflow")
+    return int((counts * (counts - 1)).sum())
 
 
 @dataclass(frozen=True)
@@ -326,8 +348,7 @@ class EmpiricalDistribution:
 
     def factorial_sum(self) -> int:
         """Exact integer sum of count*(count-1) over all arcs."""
-        c = self.counts
-        return int((c * (c - 1)).sum(dtype=object))
+        return _factorial_sum(self.counts)
 
     @property
     def second_factorial_moment(self) -> float:

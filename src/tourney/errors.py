@@ -63,6 +63,10 @@ class EmptyDistribution(TourneyError):
     """A distribution with no values cannot be compared to a reference."""
 
 
+class ExactnessBound(TourneyError):
+    """The input is too large for the exact integer arithmetic of a count."""
+
+
 # ----- structure recovery -----
 
 class NotLocallyTransitive(TourneyError):

@@ -34,9 +34,12 @@ def dumps_trn(t: Tournament) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trn(t: Tournament, path: PathLike) -> None:
+def write_trn(t: Tournament, path: PathLike) -> str:
+    """Write dumps_trn(t) to path and return the text written."""
+    text = dumps_trn(t)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_trn(t))
+        fh.write(text)
+    return text
 
 
 def loads_trn(text: str) -> Tournament:

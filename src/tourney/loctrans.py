@@ -16,6 +16,7 @@ import numpy as np
 
 from . import _bits
 from .core import SmallClass4, Tournament, induced
+from .counting import _transitive_triples_by_vertex
 from .errors import EvenOrder, NotBalanced, NotLocallyTransitive
 from .generators import carousel
 
@@ -43,26 +44,12 @@ class CyclicOrder:
 
 def _neighbourhood_defects(t: Tournament) -> np.ndarray:
     """Per-vertex flags: bit 0 set if N+(v) has a cycle, bit 1 if N-(v) does."""
-    n = t.n
-    out, inp = t.out_packed, t.in_packed
+    tr3_out, tr3_in = _transitive_triples_by_vertex(t)
     d = t.outdegrees()
-    flags = np.zeros(n, dtype=np.int8)
-    from .counting import _chunks  # chunk sizing shared with the census code
-
-    for vs in _chunks(n, out.shape[1]):
-        cnt_out = np.bitwise_count(out[None, :, :] & out[vs, None, :]).sum(axis=2, dtype=np.int64)
-        cnt_in = np.bitwise_count(out[None, :, :] & inp[vs, None, :]).sum(axis=2, dtype=np.int64)
-        mask_out = _bits.unpack_rows(out[vs], n)
-        mask_in = _bits.unpack_rows(inp[vs], n)
-        tr3_out = np.where(mask_out, cnt_out * (cnt_out - 1) // 2, 0).sum(axis=1)
-        tr3_in = np.where(mask_in, cnt_in * (cnt_in - 1) // 2, 0).sum(axis=1)
-        dd = d[vs]
-        c3_out = dd * (dd - 1) * (dd - 2) // 6 - tr3_out
-        ee = n - 1 - dd
-        c3_in = ee * (ee - 1) * (ee - 2) // 6 - tr3_in
-        flags[vs] |= (c3_out > 0).astype(np.int8)
-        flags[vs] |= ((c3_in > 0).astype(np.int8) << 1)
-    return flags
+    e = t.n - 1 - d
+    c3_out = d * (d - 1) * (d - 2) // 6 - tr3_out
+    c3_in = e * (e - 1) * (e - 2) // 6 - tr3_in
+    return (c3_out > 0).astype(np.int8) | ((c3_in > 0).astype(np.int8) << 1)
 
 
 def _least_cycle(t: Tournament, members: np.ndarray):
@@ -139,6 +126,11 @@ def brouwer_order(t: Tournament) -> CyclicOrder:
     obs = find_obstruction(t)
     if obs is not None:
         raise NotLocallyTransitive(obstruction=obs)
+    return _brouwer_order(t)
+
+
+def _brouwer_order(t: Tournament) -> CyclicOrder:
+    """brouwer_order for a tournament already known to be locally transitive."""
     order = [0] + _sort_by_beats(t, t.out_neighbors(0)) + _sort_by_beats(t, t.in_neighbors(0))
     co = CyclicOrder(order=tuple(order))
     _verify_intervals(t, co)
@@ -165,13 +157,19 @@ def carousel_isomorphism(t: Tournament) -> np.ndarray:
 
     Returns iso with iso[u] = the carousel label of u; verified arc-by-arc.
     """
+    return _carousel_isomorphism(t)
+
+
+def _carousel_isomorphism(t: Tournament, co: CyclicOrder | None = None) -> np.ndarray:
+    """carousel_isomorphism; a given co must be brouwer_order(t), whose scan it spares."""
     n = t.n
     if n % 2 == 0:
         raise EvenOrder(f"carousel isomorphism needs odd order, got {n}")
     d = t.outdegrees()
     if not (d == (n - 1) // 2).all():
         raise NotBalanced(f"outdegrees range {int(d.min())}..{int(d.max())}, want {(n - 1) // 2}")
-    co = brouwer_order(t)
+    if co is None:
+        co = brouwer_order(t)
     iso = np.empty(n, dtype=np.int64)
     iso[np.array(co.order)] = np.arange(n)
     ref = carousel(n)

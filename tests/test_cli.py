@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, JSON shape, file round trips."""
+import hashlib
 import json
 
 import numpy as np
@@ -30,7 +31,7 @@ class TestGen:
         p = tmp_path / "c.trn"
         obj = run_json(capsys, "gen", "--kind", "carousel", "--n", "9", "-o", str(p))
         assert obj["kind"] == "carousel" and obj["n"] == 9
-        assert len(obj["sha256"]) == 64
+        assert obj["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
         assert read_trn(p) == carousel(9)
 
     def test_even_carousel_exits_1(self, capsys, tmp_path):
@@ -192,11 +193,19 @@ class TestCheck:
         p = tmp_path / "c.trn"
         p.write_text(dumps_trn(carousel(101)))
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("nope = 3\n")
-        code, _, err = run(capsys, "check", str(p), "--profile", "carousel",
-                           "--config", str(cfg))
+        for line in ("nope = 3\n", "bins = 3\n"):
+            cfg.write_text(line)
+            code, _, err = run(capsys, "check", str(p), "--profile", "carousel",
+                               "--config", str(cfg))
+            assert code == 1
+            assert "unknown key" in err
+
+    def test_bins_flag_rejected(self, capsys, tmp_path):
+        p = tmp_path / "c.trn"
+        p.write_text(dumps_trn(carousel(101)))
+        code, out, _ = run(capsys, "check", str(p), "--profile", "carousel", "--bins", "7")
         assert code == 1
-        assert "unknown key" in err
+        assert out == ""
 
 
 class TestLoctrans:
@@ -215,6 +224,10 @@ class TestLoctrans:
         assert obj["locally_transitive"] is True
         assert obj["carousel_isomorphism"] is None
         assert obj["carousel_isomorphism_error"] == "NotBalanced"
+        p.write_text(dumps_trn(transitive(6)))
+        obj = run_json(capsys, "loctrans", str(p))
+        assert obj["cyclic_order"] == list(range(6))
+        assert obj["carousel_isomorphism_error"] == "EvenOrder"
 
     def test_obstruction_reported(self, capsys, tmp_path):
         p = tmp_path / "w.trn"

@@ -12,6 +12,7 @@ from tourney import (
     carousel,
     count_profile,
     distribution_to_csv,
+    find_obstruction,
     ks_distance,
     quad_counts,
     random_uniform,
@@ -19,8 +20,9 @@ from tourney import (
     transitive,
     triple_counts,
 )
-from tourney.counting import arc_flag_count_arrays, classify4_batch
-from tourney.errors import EmptyDistribution, NotAnArc, OrderTooSmall
+from tourney import counting
+from tourney.counting import FLAG_COMBOS, arc_flag_count_arrays, classify4_batch
+from tourney.errors import EmptyDistribution, ExactnessBound, NotAnArc, OrderTooSmall
 
 from helpers import (
     all_tournaments,
@@ -87,6 +89,36 @@ class TestQuadCounts:
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
             quad_counts(transitive(3))
+
+
+class _HugeOrder:
+    """Claims order n; reading anything else of it fails."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name} of a stub tournament")
+
+
+class TestCodegreeKernel:
+    @pytest.mark.parametrize("n, rows", [(63, 16), (64, 16), (65, 16),
+                                         (31, 32), (32, 32), (33, 32)])
+    def test_matches_oracles_at_word_and_block_edges(self, monkeypatch, n, rows):
+        monkeypatch.setattr(counting, "_BLOCK_BYTES", 8 * n * rows)
+        t = random_uniform(n, seed=n)
+        assert quad_counts(t) == brute_quads_fast(t)
+        arrs = arc_flag_count_arrays(t)
+        for combo in FLAG_COMBOS:
+            assert sorted(arrs[combo].tolist()) == brute_flag_values(t, combo)
+
+    def test_exactness_guard_fires_before_allocating(self):
+        for fn in (quad_counts, arc_flag_count_arrays, find_obstruction):
+            with pytest.raises(ExactnessBound):
+                fn(_HugeOrder(2 ** 24))
+        # one below the bound passes the guard and goes on to read the matrix
+        with pytest.raises(AssertionError, match="matrix"):
+            counting._codegree_blocks(_HugeOrder(2 ** 24 - 1))
 
 
 class TestCountProfile:
@@ -226,6 +258,14 @@ class TestDistributions:
         assert d.second_moment == pytest.approx((0 + 1 / 9 + 1) / 3)
         assert d.factorial_sum() == 0 + 0 + 6
         assert d.second_factorial_moment == pytest.approx(6 / (3 * 3 * 2))
+
+    def test_factorial_sum_int64_bound(self):
+        # top * (top + 1) * size just under 2**63 sums exactly; above, raises
+        top = 2 ** 31 - 1
+        d = EmpiricalDistribution(counts=np.array([top, -top]), n=5)
+        assert d.factorial_sum() == top * (top - 1) + top * (top + 1)
+        with pytest.raises(ExactnessBound):
+            EmpiricalDistribution(counts=np.array([top + 1, 0]), n=5).factorial_sum()
 
     def test_transitive_c_flag_is_zero(self):
         d = arc_flag_distribution(transitive(50), "c")

@@ -20,6 +20,7 @@ from tourney import (
     transitive,
     triple_counts,
 )
+from tourney import counting
 from tourney.errors import EvenOrder, NotBalanced, NotLocallyTransitive
 
 from helpers import brute_quads_fast, brute_triples
@@ -87,6 +88,41 @@ class TestFindObstruction:
             _, w4, l4, _ = brute_quads_fast(t)
             assert (find_obstruction(t) is None) == (w4 + l4 == 0)
             assert is_locally_transitive(t) == (w4 + l4 == 0)
+
+    @pytest.mark.parametrize("kind", [SmallClass4.W4, SmallClass4.L4])
+    def test_planted_obstruction_across_row_blocks(self, monkeypatch, kind):
+        # transitive(n) with one flipped pair among p < q < r < s: flipping
+        # (q, s) puts a 3-cycle under p (W4), flipping (p, r) one over s (L4)
+        n = 20
+        monkeypatch.setattr(counting, "_BLOCK_BYTES", 8 * n * 3)
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            p, q, r, s = sorted(rng.choice(n, size=4, replace=False).tolist())
+            m = transitive(n).matrix().copy()
+            a, b = (q, s) if kind == SmallClass4.W4 else (p, r)
+            m[a, b], m[b, a] = False, True
+            t = relabel(Tournament(m), rng.permutation(n))
+            _, w4, l4, _ = brute_quads_fast(t)
+            assert (w4 if kind == SmallClass4.W4 else l4) > 0
+            obs = find_obstruction(t)
+            assert obs is not None
+            check_witness(t, obs)
+            assert (w4 if obs.kind == SmallClass4.W4 else l4) > 0
+            for v in range(obs.apex):
+                for nb in (t.out_neighbors(v), t.in_neighbors(v)):
+                    if nb.size >= 3:
+                        assert brute_triples(induced(t, nb))[1] == 0
+
+    def test_agrees_with_quad_census_across_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(counting, "_BLOCK_BYTES", 8 * 25 * 4)
+        rng = np.random.default_rng(13)
+        for base in (carousel(25), random_uniform(25, seed=14)):
+            m = base.matrix().copy()
+            u, v = map(int, np.argwhere(m)[int(rng.integers(m.sum()))])
+            m[u, v], m[v, u] = False, True
+            for t in (base, Tournament(m)):
+                _, w4, l4, _ = brute_quads_fast(t)
+                assert (find_obstruction(t) is None) == (w4 + l4 == 0)
 
     def test_deterministic(self):
         t = random_uniform(30, seed=2)
