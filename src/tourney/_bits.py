@@ -31,16 +31,6 @@ def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     return bits[:, :n].astype(bool)
 
 
-def row_mask(n: int) -> np.ndarray:
-    """Words with exactly the low n bits set (the valid-column mask)."""
-    w = words_per_row(n)
-    mask = np.full(w, ~np.uint64(0), dtype=np.uint64)
-    tail = n & 63
-    if tail:
-        mask[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
-    return mask
-
-
 def bit_index(v) -> tuple:
     """(word, in-word shift) coordinates of column v; v may be an array."""
     v = np.asarray(v)

@@ -21,6 +21,7 @@ from .counting import (
     ReferenceDistribution,
     _factorial_sum,
     _quads_from_sums,
+    _sampled_arc_arrays,
     arc_flag_count_arrays,
     ks_distance,
     quad_counts,
@@ -223,38 +224,9 @@ def _gather_counts(t: Tournament, config: ReportConfig) -> dict:
         sq = sampled_quad_densities(t, config.samples, config.seed)
         info.update(p_tr4=sq.p_tr4, p_w4=sq.p_w4, p_l4=sq.p_l4, p_r4=sq.p_r4,
                     mode="sampled")
-        arrays = _sampled_arc_arrays(t, config)
+        arrays = _sampled_arc_arrays(t, config.samples, config.seed)
     info["arrays"] = arrays
     return info
-
-
-def _sampled_arc_arrays(t: Tournament, config: ReportConfig) -> dict:
-    """Flag counts on a seeded arc sample, for n beyond the exact budget."""
-    from . import _bits
-
-    rng = np.random.default_rng(config.seed)
-    k = min(config.samples, t.n * (t.n - 1) // 2)
-    u = rng.integers(0, t.n, size=k, dtype=np.int64)
-    v = rng.integers(0, t.n, size=k, dtype=np.int64)
-    same = u == v
-    while same.any():
-        v[same] = rng.integers(0, t.n, size=int(same.sum()), dtype=np.int64)
-        same = u == v
-    fwd = _bits.test_bits(t.out_packed, u, v)
-    u2 = np.where(fwd, u, v)
-    v2 = np.where(fwd, v, u)
-    out, inp = t.out_packed, t.in_packed
-    res = {"o": [], "i": [], "tr": [], "c": []}
-    for lo in range(0, k, 4096):
-        uu, vv = u2[lo:lo + 4096], v2[lo:lo + 4096]
-        res["o"].append(np.bitwise_count(out[uu] & out[vv]).sum(axis=1, dtype=np.int64))
-        res["i"].append(np.bitwise_count(inp[uu] & inp[vv]).sum(axis=1, dtype=np.int64))
-        res["tr"].append(np.bitwise_count(out[uu] & inp[vv]).sum(axis=1, dtype=np.int64))
-        res["c"].append(np.bitwise_count(inp[uu] & out[vv]).sum(axis=1, dtype=np.int64))
-    flat = {f: np.concatenate(parts) for f, parts in res.items()}
-    flat["oi"] = flat["o"] + flat["i"]
-    flat["ctr"] = flat["c"] + flat["tr"]
-    return flat
 
 
 def quasi_carousel_report(t: Tournament, config: ReportConfig | None = None,

@@ -31,7 +31,7 @@ from .counting import (
     ks_distance,
     sampled_quad_densities,
 )
-from .errors import TourneyError
+from .errors import NotLocallyTransitive, TourneyError
 from .generators import (
     LayeredSpec,
     carousel,
@@ -40,7 +40,7 @@ from .generators import (
     random_uniform,
     transitive,
 )
-from .loctrans import _brouwer_order, _carousel_isomorphism, find_obstruction
+from .loctrans import brouwer_order, carousel_isomorphism
 
 SCHEMA = 1
 
@@ -273,16 +273,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_loctrans(args) -> int:
     t = _load(args.path)
-    obs = find_obstruction(t)
-    out: dict = {"command": "loctrans", "n": t.n,
-                 "locally_transitive": obs is None}
-    if obs is not None:
-        out["obstruction"] = obs.to_json_dict()
+    out: dict = {"command": "loctrans", "n": t.n}
+    try:
+        order = brouwer_order(t)
+    except NotLocallyTransitive as exc:
+        out["locally_transitive"] = False
+        out["obstruction"] = exc.obstruction.to_json_dict()
     else:
-        order = _brouwer_order(t)
+        out["locally_transitive"] = True
         out["cyclic_order"] = list(order.order)
         try:
-            iso = _carousel_isomorphism(t, order)
+            iso = carousel_isomorphism(t)
             out["carousel_isomorphism"] = [int(x) for x in iso]
         except TourneyError as exc:
             out["carousel_isomorphism"] = None

@@ -7,7 +7,6 @@ intersections run word-parallel.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 import numpy as np
@@ -52,7 +51,7 @@ class Tournament:
     diagonal is empty and exactly one orientation per pair is present.
     """
 
-    __slots__ = ("n", "_out", "_in", "_outdeg")
+    __slots__ = ("n", "_out", "_outdeg")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=bool)
@@ -78,7 +77,6 @@ class Tournament:
     def _init_validated(self, n: int, matrix: np.ndarray) -> None:
         self.n = n
         self._out = _bits.pack_rows(matrix)
-        self._in = None
         self._outdeg = None
 
     @classmethod
@@ -93,19 +91,6 @@ class Tournament:
     @property
     def out_packed(self) -> np.ndarray:
         return self._out
-
-    @property
-    def in_packed(self) -> np.ndarray:
-        """Packed in-neighbour rows: complement of the out row minus the vertex."""
-        if self._in is None:
-            n = self.n
-            mask = _bits.row_mask(n)
-            inp = (~self._out) & mask
-            idx = np.arange(n)
-            word, shift = _bits.bit_index(idx)
-            inp[idx, word] &= ~(np.uint64(1) << shift)
-            self._in = inp
-        return self._in
 
     def matrix(self) -> np.ndarray:
         """Dense boolean adjacency (materialized on demand)."""
@@ -128,7 +113,9 @@ class Tournament:
 
     def in_neighbors(self, v: int) -> np.ndarray:
         self._check_vertex(v)
-        return np.flatnonzero(_bits.unpack_rows(self.in_packed[v:v + 1], self.n)[0])
+        beats_v = ~_bits.unpack_rows(self._out[v:v + 1], self.n)[0]
+        beats_v[v] = False
+        return np.flatnonzero(beats_v)
 
     def arcs(self):
         """All arcs in lexicographic (u, v) order."""
@@ -202,12 +189,11 @@ def classify3(t: Tournament) -> SmallClass3:
     return SmallClass3.TR3 if int(t.outdegrees().max()) == 2 else SmallClass3.C3
 
 
-def classify4(t: Tournament, *, verify: bool = False) -> SmallClass4:
+def classify4(t: Tournament) -> SmallClass4:
     """Classify a 4-vertex tournament by its sorted outdegree sequence.
 
     The four classes have pairwise distinct score sequences, each realized
-    by a single isomorphism class, so the score sequence decides.  With
-    verify=True an explicit isomorphism search double-checks the answer.
+    by a single isomorphism class, so the score sequence decides.
     """
     if t.n != 4:
         raise WrongOrder(f"classify4 needs order 4, got {t.n}")
@@ -215,37 +201,4 @@ def classify4(t: Tournament, *, verify: bool = False) -> SmallClass4:
     cls = _SCORE4.get(key)
     if cls is None:
         raise UnrecognizedScoreSequence(f"score sequence {key} matches no 4-tournament")
-    if verify:
-        ref = _canonical4()[cls]
-        if not _isomorphic_small(t, ref):
-            raise UnrecognizedScoreSequence(
-                f"score sequence says {cls.value} but no isomorphism exists")
     return cls
-
-
-_CANON4 = None
-
-
-def _canonical4() -> dict:
-    """One concrete representative per 4-vertex class."""
-    global _CANON4
-    if _CANON4 is None:
-        _CANON4 = {
-            SmallClass4.TR4: from_arc_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-            SmallClass4.W4: from_arc_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)]),
-            SmallClass4.L4: from_arc_list(4, [(1, 0), (2, 0), (3, 0), (1, 2), (2, 3), (3, 1)]),
-            SmallClass4.R4: from_arc_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]),
-        }
-    return _CANON4
-
-
-def _isomorphic_small(a: Tournament, b: Tournament) -> bool:
-    """Brute-force isomorphism test, intended for order <= 6 or so."""
-    if a.n != b.n:
-        return False
-    ma, mb = a.matrix(), b.matrix()
-    for perm in itertools.permutations(range(a.n)):
-        p = np.array(perm)
-        if np.array_equal(ma[np.ix_(p, p)], mb):
-            return True
-    return False

@@ -8,8 +8,9 @@ order-4 census.  One kernel computes O in row blocks of float32 BLAS
 products, exact while n < 2**24 because every partial sum is an integer at
 most n; a larger order raises ExactnessBound before anything is allocated.
 Flag counts feed empirical distributions compared against uniform or
-point-mass references by a sup-norm (KS) distance.  The sampled paths test
-packed bits instead.
+point-mass references by a sup-norm (KS) distance.  The sampled paths and
+single-arc lookups test packed bits instead: they popcount o alone and
+derive the other flags from the outdegrees the same way.
 """
 
 from __future__ import annotations
@@ -59,15 +60,24 @@ class ArcFlagCounts:
         return self.o + self.i + self.tr + self.c
 
 
+def _flags_from_o(n: int, o, d_tail, d_head) -> tuple:
+    """(tr, c, i) of arcs u -> v from o and the outdegrees d(u), d(v).
+
+    u's d(u) out-neighbours are v, the o it shares with v and the tr; v's
+    d(v) out-neighbours are the o and the c; the remaining i beat both.
+    """
+    tr = d_tail - o - 1
+    c = d_head - o
+    return tr, c, n - 2 - o - tr - c
+
+
 def arc_flag_counts(t: Tournament, u: int, v: int) -> ArcFlagCounts:
     """Exact (o, i, tr, c) for the arc u -> v; sums to n - 2."""
     if not t.has_arc(u, v):
         raise NotAnArc(f"({u},{v}) is not an arc")
-    out, inp = t.out_packed, t.in_packed
+    out, d = t.out_packed, t.outdegrees()
     o = int(_bits.popcount_rows(out[u] & out[v]))
-    i = int(_bits.popcount_rows(inp[u] & inp[v]))
-    tr = int(_bits.popcount_rows(out[u] & inp[v]))
-    c = int(_bits.popcount_rows(inp[u] & out[v]))
+    tr, c, i = _flags_from_o(t.n, o, int(d[u]), int(d[v]))
     return ArcFlagCounts(o=o, i=i, tr=tr, c=c)
 
 
@@ -295,13 +305,41 @@ def arc_flag_count_arrays(t: Tournament, combos=FLAG_COMBOS) -> dict:
         tails, heads = np.nonzero(arcs)
         part = slice(at, at + tails.size)
         o = flat["o"][part] = o_block[tails, heads]
-        tr = flat["tr"][part] = d[lo + tails] - o - 1
-        c = flat["c"][part] = d[heads] - o
-        flat["i"][part] = n - 2 - o - tr - c
+        flat["tr"][part], flat["c"][part], flat["i"][part] = _flags_from_o(
+            n, o, d[lo + tails], d[heads])
         at = part.stop
+    return _with_combos(flat, combos)
+
+
+def _with_combos(flat: dict, combos=FLAG_COMBOS) -> dict:
+    """The requested combos from the four single-flag arrays."""
     pairs = {"oi": ("o", "i"), "ctr": ("c", "tr")}
     return {cb: flat[pairs[cb][0]] + flat[pairs[cb][1]] if cb in pairs else flat[cb]
             for cb in combos}
+
+
+def _sampled_arc_arrays(t: Tournament, samples: int, seed=None) -> dict:
+    """Flag counts on a seeded sample of arcs, one array per combo.
+
+    Pairs are drawn uniformly with replacement and oriented along their arc;
+    o is popcounted 4096 arcs at a time, so the gathered rows stay small.
+    """
+    rng = np.random.default_rng(seed)
+    k = min(samples, t.n * (t.n - 1) // 2)
+    u = rng.integers(0, t.n, size=k, dtype=np.int64)
+    v = rng.integers(0, t.n, size=k, dtype=np.int64)
+    same = u == v
+    while same.any():
+        v[same] = rng.integers(0, t.n, size=int(same.sum()), dtype=np.int64)
+        same = u == v
+    out, d = t.out_packed, t.outdegrees()
+    fwd = _bits.test_bits(out, u, v)
+    tails = np.where(fwd, u, v)
+    heads = np.where(fwd, v, u)
+    o = np.concatenate([_bits.popcount_rows(out[tails[lo:lo + 4096]] & out[heads[lo:lo + 4096]])
+                        for lo in range(0, k, 4096)])
+    tr, c, i = _flags_from_o(t.n, o, d[tails], d[heads])
+    return _with_combos({"o": o, "i": i, "tr": tr, "c": c})
 
 
 def _factorial_sum(counts: np.ndarray) -> int:

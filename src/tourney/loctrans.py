@@ -18,7 +18,6 @@ from . import _bits
 from .core import SmallClass4, Tournament, induced
 from .counting import _transitive_triples_by_vertex
 from .errors import EvenOrder, NotBalanced, NotLocallyTransitive
-from .generators import carousel
 
 
 @dataclass(frozen=True)
@@ -116,66 +115,63 @@ def _sort_by_beats(t: Tournament, members: np.ndarray) -> list:
     return [int(members[j]) for j in np.argsort(-deg, kind="stable")]
 
 
+def _intervals(co: CyclicOrder, lengths) -> np.ndarray:
+    """Boolean matrix whose row u is the forward interval of lengths[u] after u.
+
+    With pos the inverse of the order, v lies in it iff the forward distance
+    (pos[v] - pos[u]) mod n, taken in int32, is between 1 and lengths[u].
+    """
+    n = len(co)
+    pos = np.empty(n, dtype=np.int32)
+    pos[np.array(co.order)] = np.arange(n, dtype=np.int32)
+    dist = pos[None, :] - pos[:, None]
+    dist %= n
+    return (dist >= 1) & (dist <= np.reshape(lengths, (-1, 1)))
+
+
 def brouwer_order(t: Tournament) -> CyclicOrder:
     """Cyclic vertex order whose forward intervals are the out-neighbourhoods.
 
     Starts at vertex 0, lists N+(0) sorted by the beat relation, then N-(0)
-    likewise.  The interval property is re-verified before returning; a
-    violation would mean a bug, not bad input, and raises RuntimeError.
+    likewise, and checks once that every out-neighbourhood is the forward
+    interval of its outdegree.  That check alone proves local transitivity:
+    inside N+(v) every arc runs forward, since a backward arc y -> x would
+    put v inside y's interval, so y would beat v; every x in N-(v) beats v,
+    so x's interval runs through all later members of N-(v).
+
+    When the check fails the input is not locally transitive, and
+    NotLocallyTransitive carries the W4/L4 witness of find_obstruction; a
+    failure without a witness would mean a bug and raises RuntimeError.
     """
+    try:
+        order = [0] + _sort_by_beats(t, t.out_neighbors(0)) + _sort_by_beats(t, t.in_neighbors(0))
+        co = CyclicOrder(order=tuple(order))
+        if np.array_equal(t.matrix(), _intervals(co, t.outdegrees())):
+            return co
+    except NotLocallyTransitive:
+        pass
     obs = find_obstruction(t)
-    if obs is not None:
-        raise NotLocallyTransitive(obstruction=obs)
-    return _brouwer_order(t)
-
-
-def _brouwer_order(t: Tournament) -> CyclicOrder:
-    """brouwer_order for a tournament already known to be locally transitive."""
-    order = [0] + _sort_by_beats(t, t.out_neighbors(0)) + _sort_by_beats(t, t.in_neighbors(0))
-    co = CyclicOrder(order=tuple(order))
-    _verify_intervals(t, co)
-    return co
-
-
-def _verify_intervals(t: Tournament, co: CyclicOrder) -> None:
-    n = t.n
-    perm = np.array(co.order)
-    m = t.matrix()[np.ix_(perm, perm)]
-    rolled = np.empty_like(m)
-    for j in range(n):
-        rolled[j] = np.roll(m[j], -j)
-    # rolled[j, k] says whether position j beats position j+k (cyclically);
-    # the interval property demands each row be 1^outdeg then 0s.
-    deg = t.outdegrees()[perm]
-    want = np.arange(1, n)[None, :] <= deg[:, None]
-    if not np.array_equal(rolled[:, 1:], want):
-        raise RuntimeError("interval property failed after ordering; this is a bug")
+    if obs is None:
+        raise RuntimeError("interval property failed without a W4/L4 witness; this is a bug")
+    raise NotLocallyTransitive(obstruction=obs)
 
 
 def carousel_isomorphism(t: Tournament) -> np.ndarray:
     """Vertex bijection onto the carousel of the same (odd, regular) order.
 
-    Returns iso with iso[u] = the carousel label of u; verified arc-by-arc.
+    Returns iso with iso[u] = the carousel label of u, the position of u in
+    brouwer_order(t): forward intervals of length (n-1)/2 from every vertex
+    are the carousel's definition, so the order's own check verifies it.
     """
-    return _carousel_isomorphism(t)
-
-
-def _carousel_isomorphism(t: Tournament, co: CyclicOrder | None = None) -> np.ndarray:
-    """carousel_isomorphism; a given co must be brouwer_order(t), whose scan it spares."""
     n = t.n
     if n % 2 == 0:
         raise EvenOrder(f"carousel isomorphism needs odd order, got {n}")
     d = t.outdegrees()
     if not (d == (n - 1) // 2).all():
         raise NotBalanced(f"outdegrees range {int(d.min())}..{int(d.max())}, want {(n - 1) // 2}")
-    if co is None:
-        co = brouwer_order(t)
+    co = brouwer_order(t)
     iso = np.empty(n, dtype=np.int64)
     iso[np.array(co.order)] = np.arange(n)
-    ref = carousel(n)
-    perm = np.array(co.order)
-    if not np.array_equal(t.matrix()[np.ix_(perm, perm)], ref.matrix()):
-        raise RuntimeError("recovered order is not a carousel isomorphism; this is a bug")
     return iso
 
 
@@ -200,12 +196,7 @@ def flip_distance_given_order(t: Tournament, co: CyclicOrder) -> float:
         raise ValueError("order must be a permutation of the vertices")
     if n == 1:
         return 0.0
-    perm = np.array(co.order)
-    m = t.matrix()[np.ix_(perm, perm)]
-    half = (n - 1) // 2
-    agree = 0
-    for j in range(n):
-        agree += int(np.roll(m[j], -j)[1:half + 1].sum())
+    agree = int(np.count_nonzero(t.matrix() & _intervals(co, (n - 1) // 2)))
     pairs = n * (n - 1) // 2
     disagree = pairs - agree
     return min(disagree, pairs - disagree) / pairs

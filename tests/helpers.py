@@ -102,6 +102,25 @@ def brute_flag_values(t: Tournament, combo: str):
     return sorted(vals)
 
 
+def brute_flip_distance(t: Tournament, order) -> float:
+    """flip_distance_given_order by a loop over the pairs of an odd order.
+
+    An arc a -> b agrees with the order when b lies 1..(n-1)/2 steps after
+    a going round; the disagreeing share is taken against the order or its
+    reversal, whichever is smaller.
+    """
+    n = t.n
+    m = t.matrix()
+    pos = {v: k for k, v in enumerate(order)}
+    backward = 0
+    for u, v in combinations(range(n), 2):
+        a, b = (u, v) if m[u, v] else (v, u)
+        if not 1 <= (pos[b] - pos[a]) % n <= (n - 1) // 2:
+            backward += 1
+    pairs = comb(n, 2)
+    return min(backward, pairs - backward) / pairs
+
+
 # ---------------------------------------------------------------------------
 # isomorphism-class enumeration for small orders
 # ---------------------------------------------------------------------------

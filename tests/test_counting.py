@@ -169,6 +169,26 @@ class TestArcFlags:
                 fc = arc_flag_counts(t, 0, i)
                 assert (fc.o, fc.i, fc.tr, fc.c) == (n - i, n - i, i - 1, i)
 
+    def test_sampled_arrays_vs_brute_on_the_sampled_arcs(self):
+        # n = 93 spans two words per row, and its C(93, 2) = 4278 arcs take
+        # two of the sampler's 4096-arc chunks
+        t = random_uniform(93, seed=21)
+        got = counting._sampled_arc_arrays(t, 10**6, seed=8)
+        # the sample is seeded: the same draw of pairs, each oriented along its arc
+        rng = np.random.default_rng(8)
+        k = comb(93, 2)
+        u = rng.integers(0, 93, size=k, dtype=np.int64)
+        v = rng.integers(0, 93, size=k, dtype=np.int64)
+        while (u == v).any():
+            v[u == v] = rng.integers(0, 93, size=int((u == v).sum()), dtype=np.int64)
+        m = t.matrix()
+        want = [brute_arc_flags(t, a, b) if m[a, b] else brute_arc_flags(t, b, a)
+                for a, b in zip(u.tolist(), v.tolist())]
+        o, i, tr, c = (np.array(col) for col in zip(*want))
+        for name, arr in {"o": o, "i": i, "tr": tr, "c": c,
+                          "oi": o + i, "ctr": c + tr}.items():
+            assert np.array_equal(got[name], arr), name
+
     def test_arrays_match_brute_multiset(self):
         rng = np.random.default_rng(3)
         for _ in range(6):

@@ -9,21 +9,24 @@ from tourney import (
     balance_deficiency,
     brouwer_order,
     carousel,
+    LayeredSpec,
     carousel_isomorphism,
     classify4,
+    digraphon_sample,
     find_obstruction,
     flip_distance_given_order,
     from_arc_list,
     induced,
     is_locally_transitive,
+    layered,
     random_uniform,
     transitive,
     triple_counts,
 )
-from tourney import counting
+from tourney import counting, loctrans
 from tourney.errors import EvenOrder, NotBalanced, NotLocallyTransitive
 
-from helpers import brute_quads_fast, brute_triples
+from helpers import brute_flip_distance, brute_quads_fast, brute_triples
 
 
 def relabel(t, perm):
@@ -145,7 +148,7 @@ class TestBrouwerOrder:
         rng = np.random.default_rng(3)
         for m in (7, 15, 31):
             t = relabel(carousel(m), rng.permutation(m))
-            co = brouwer_order(t)   # _verify_intervals inside raises on failure
+            co = brouwer_order(t)   # raises unless every out-set is a forward interval
             assert sorted(co.order) == list(range(m))
             assert co.order[0] == 0
 
@@ -156,6 +159,68 @@ class TestBrouwerOrder:
             brouwer_order(t)
         assert exc.value.obstruction is not None
         check_witness(t, exc.value.obstruction)
+
+
+    def test_interval_check_agrees_with_scan_and_census(self):
+        rng = np.random.default_rng(15)
+        cases = []
+        for _ in range(30):
+            n = int(rng.integers(4, 26))
+            seed = int(rng.integers(2**31))
+            cases += [random_uniform(n, seed=seed), digraphon_sample(n, seed=seed),
+                      transitive(n), layered(LayeredSpec(N=n, t=0.3, seed=seed))]
+            m = 2 * int(rng.integers(2, 13)) + 1
+            mat = carousel(m).matrix().copy()
+            if rng.random() < 0.75:
+                u, v = map(int, np.argwhere(mat)[int(rng.integers(mat.sum()))])
+                mat[u, v], mat[v, u] = False, True
+            cases.append(relabel(Tournament(mat), rng.permutation(m)))
+        lt = 0
+        for t in cases:
+            _, w4, l4, _ = brute_quads_fast(t)
+            obs = find_obstruction(t)
+            try:
+                co = brouwer_order(t)
+            except NotLocallyTransitive as exc:
+                assert obs is not None and w4 + l4 > 0
+                assert exc.obstruction == obs
+                continue
+            lt += 1
+            assert obs is None and w4 + l4 == 0
+            # each out-neighbourhood is the next outdegree-many vertices round the order
+            order = list(co.order)
+            for k, u in enumerate(order):
+                d = int(t.outdegrees()[u])
+                nxt = {order[(k + j) % t.n] for j in range(1, d + 1)}
+                assert set(t.out_neighbors(u).tolist()) == nxt
+        assert 0 < lt < len(cases)
+
+    def test_interval_failure_raises_with_witness(self):
+        # inputs whose N+(0) and N-(0) are transitive with 3 or more members:
+        # the order gets built, so only the interval check can reject them
+        rng = np.random.default_rng(17)
+        found = 0
+        while found < 5:
+            t = random_uniform(8, seed=int(rng.integers(2**31)))
+            nbs = (t.out_neighbors(0), t.in_neighbors(0))
+            if min(nb.size for nb in nbs) < 3 or any(
+                    brute_triples(induced(t, nb))[1] for nb in nbs):
+                continue
+            _, w4, l4, _ = brute_quads_fast(t)
+            if w4 + l4 == 0:
+                continue
+            found += 1
+            for nb in nbs:
+                loctrans._sort_by_beats(t, nb)   # does not raise
+            with pytest.raises(NotLocallyTransitive) as exc:
+                brouwer_order(t)
+            assert exc.value.obstruction == find_obstruction(t)
+            check_witness(t, exc.value.obstruction)
+
+    def test_failed_check_without_witness_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(loctrans, "find_obstruction", lambda t: None)
+        with pytest.raises(RuntimeError):
+            brouwer_order(random_uniform(20, seed=5))
 
 
 class TestCarouselIsomorphism:
@@ -225,6 +290,21 @@ class TestFlipDistance:
         rev = CyclicOrder(order=(0,) + tuple(range(8, 0, -1)))
         a = flip_distance_given_order(t, co)
         assert flip_distance_given_order(t, rev) == pytest.approx(a)
+
+    def test_matches_brute_pair_loop(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            m = 2 * int(rng.integers(1, 13)) + 1
+            seed = int(rng.integers(2**31))
+            base = carousel(m) if rng.random() < 0.5 else random_uniform(m, seed=seed)
+            mat = base.matrix().copy()
+            for _ in range(int(rng.integers(0, 4))):
+                u, v = map(int, np.argwhere(mat)[int(rng.integers(mat.sum()))])
+                mat[u, v], mat[v, u] = False, True
+            t = relabel(Tournament(mat), rng.permutation(m))
+            order = tuple(int(x) for x in rng.permutation(m))
+            got = flip_distance_given_order(t, CyclicOrder(order=order))
+            assert got == brute_flip_distance(t, order)
 
     def test_range_and_validation(self):
         t = random_uniform(11, seed=7)
