@@ -17,12 +17,9 @@ import numpy as np
 
 from .core import Tournament
 from .counting import (
-    EmpiricalDistribution,
     ReferenceDistribution,
-    _factorial_sum,
     _quads_from_sums,
-    _sampled_arc_arrays,
-    arc_flag_count_arrays,
+    arc_flag_distributions,
     ks_distance,
     quad_counts,
     sampled_quad_densities,
@@ -150,10 +147,9 @@ def identity_suite(t: Tournament) -> list:
         raise OrderTooSmall(f"identity suite needs n >= 6, got {t.n}")
     tr3, c3 = triple_counts(t)
     tr4, w4, l4, r4 = quad_counts(t)
-    arrays = arc_flag_count_arrays(t)
-    # plain sums are below the factorial sums' int64 bound, checked there
-    sums = {f: int(arrays[f].sum()) for f in ("o", "i", "tr", "c")}
-    fsums = {g: _factorial_sum(arrays[g]) for g in ("o", "i", "tr", "c", "oi", "ctr")}
+    dists = arc_flag_distributions(t)
+    sums = {f: dists[f].count_sum() for f in ("o", "i", "tr", "c")}
+    fsums = {g: d.factorial_sum() for g, d in dists.items()}
     return _identity_checks(t.n, tr3, c3, tr4, w4, l4, r4, sums, fsums)
 
 
@@ -208,25 +204,24 @@ class DiagnosticReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _gather_counts(t: Tournament, config: ReportConfig) -> dict:
-    """Exact counts within the budget, sampled beyond it."""
+def _gather_counts(t: Tournament, config: ReportConfig) -> tuple:
+    """(census densities and mode, flag distributions): exact up to the budget."""
     n = t.n
     tr3, c3 = triple_counts(t)
     b3 = math.comb(n, 3)
     info = {"n": n, "p_c3": c3 / b3, "mode": "exact"}
     if n <= config.exact_limit:
-        arrays = arc_flag_count_arrays(t)
+        dists = arc_flag_distributions(t)
         tr4, w4, l4, r4 = _quads_from_sums(
-            t, _factorial_sum(arrays["o"]) // 2, _factorial_sum(arrays["tr"]) // 2)
+            t, dists["o"].factorial_sum() // 2, dists["tr"].factorial_sum() // 2)
         b4 = math.comb(n, 4)
         info.update(p_tr4=tr4 / b4, p_w4=w4 / b4, p_l4=l4 / b4, p_r4=r4 / b4)
     else:
         sq = sampled_quad_densities(t, config.samples, config.seed)
         info.update(p_tr4=sq.p_tr4, p_w4=sq.p_w4, p_l4=sq.p_l4, p_r4=sq.p_r4,
                     mode="sampled")
-        arrays = _sampled_arc_arrays(t, config.samples, config.seed)
-    info["arrays"] = arrays
-    return info
+        dists = arc_flag_distributions(t, config.samples, config.seed)
+    return info, dists
 
 
 def quasi_carousel_report(t: Tournament, config: ReportConfig | None = None,
@@ -242,9 +237,7 @@ def quasi_carousel_report(t: Tournament, config: ReportConfig | None = None,
     config = config or ReportConfig()
     if t.n < 5:
         raise OrderTooSmall(f"report needs n >= 5, got {t.n}")
-    info = _gather_counts(t, config)
-    arrays = info["arrays"]
-    n = t.n
+    info, dists = _gather_counts(t, config)
     res = {
         "bal": balance_deficiency(t, config.eps),
         "lt": info["p_w4"] + info["p_l4"],
@@ -255,11 +248,10 @@ def quasi_carousel_report(t: Tournament, config: ReportConfig | None = None,
     half = ReferenceDistribution.uniform(0.5)
     full = ReferenceDistribution.uniform(1.0)
     for f in ("o", "i", "tr", "c"):
-        res[f"ks_F.{f}"] = ks_distance(EmpiricalDistribution(arrays[f], n), half)
+        res[f"ks_F.{f}"] = ks_distance(dists[f], half)
     for g in ("oi", "ctr"):
-        res[f"ks_G.{g}"] = ks_distance(EmpiricalDistribution(arrays[g], n), full)
-    m2 = {f: EmpiricalDistribution(arrays[f], n).second_factorial_moment
-          for f in ("o", "i", "tr", "c", "oi", "ctr")}
+        res[f"ks_G.{g}"] = ks_distance(dists[g], full)
+    m2 = {f: d.second_factorial_moment for f, d in dists.items()}
     res["m2_F.c"] = abs(m2["c"] - info["p_r4"] / 6.0)
     for f in ("o", "i", "tr"):
         res[f"m2_F.{f}"] = abs(m2[f] - info["p_tr4"] / 6.0)
@@ -279,9 +271,7 @@ def quasi_random_report(t: Tournament, config: ReportConfig | None = None,
     config = config or ReportConfig()
     if t.n < 5:
         raise OrderTooSmall(f"report needs n >= 5, got {t.n}")
-    info = _gather_counts(t, config)
-    arrays = info["arrays"]
-    n = t.n
+    info, dists = _gather_counts(t, config)
     res = {
         "c3": abs(info["p_c3"] - 0.25),
         "p2": info["p_tr4"] + info["p_r4"] - 0.75,
@@ -289,8 +279,8 @@ def quasi_random_report(t: Tournament, config: ReportConfig | None = None,
         "w4cap": info["p_w4"] - 0.125,
     }
     for f in ("o", "i", "tr", "c"):
-        vals = arrays[f] / (n - 2)
-        res[f"conc_F.{f}"] = float(np.mean(np.abs(vals - 0.25) > config.delta))
+        vals, mult = dists[f].value_counts()
+        res[f"conc_F.{f}"] = int(mult[np.abs(vals - 0.25) > config.delta].sum()) / dists[f].size
     return _finish_report("random", t, config, res, info, provenance)
 
 

@@ -7,10 +7,10 @@ i = n - 2 - o - tr - c; sums of C(o, 2) and C(tr, 2) over arcs fix the
 order-4 census.  One kernel computes O in row blocks of float32 BLAS
 products, exact while n < 2**24 because every partial sum is an integer at
 most n; a larger order raises ExactnessBound before anything is allocated.
-Flag counts feed empirical distributions compared against uniform or
-point-mass references by a sup-norm (KS) distance.  The sampled paths and
-single-arc lookups test packed bits instead: they popcount o alone and
-derive the other flags from the outdegrees the same way.
+Flag counts feed length-(n-1) histograms, compared as distributions against
+uniform or point-mass references by a sup-norm (KS) distance.  The sampled
+paths and single-arc lookups test packed bits instead: they popcount o alone
+and derive the other flags from the outdegrees the same way.
 """
 
 from __future__ import annotations
@@ -287,39 +287,35 @@ def sampled_quad_densities(t: Tournament, samples: int, seed=None) -> SampledQua
 # per-arc flag distributions
 
 
-def arc_flag_count_arrays(t: Tournament, combos=FLAG_COMBOS) -> dict:
-    """Integer flag counts per arc, one array per requested combo.
+def _flag_histograms(n: int, o, d_tail, d_head) -> dict:
+    """Per-combo histograms, of length n - 1, over the arcs u -> v with
+    co-degrees o and outdegrees d(u), d(v): h[k] arcs have count k."""
+    tr, c, i = _flags_from_o(n, o, d_tail, d_head)
+    flags = {"o": o, "i": i, "tr": tr, "c": c, "oi": o + i, "ctr": c + tr}
+    return {f: np.bincount(flags[f], minlength=n - 1) for f in FLAG_COMBOS}
 
-    Arrays are aligned with each other (same arc order) but the order itself
-    is an implementation detail; distributions only use the multiset.
+
+def arc_flag_count_arrays(t: Tournament) -> dict:
+    """Histogram of every combo's flag counts over all arcs.
+
+    Each is an int64 array of length n - 1 whose entry k is the number of
+    arcs with count k; the combos' counts lie in 0..n-2.
     """
     if t.n < 3:
         raise OrderTooSmall(f"arc flags need n >= 3, got {t.n}")
-    combos = tuple(_COMBO_ALIASES[c] for c in combos)
     n = t.n
     blocks = _codegree_blocks(t)
     d = t.outdegrees()
-    flat = {f: np.empty(n * (n - 1) // 2, dtype=np.int64) for f in ("o", "i", "tr", "c")}
-    at = 0
+    hists = {f: np.zeros(n - 1, dtype=np.int64) for f in FLAG_COMBOS}
     for lo, arcs, o_block in blocks:
         tails, heads = np.nonzero(arcs)
-        part = slice(at, at + tails.size)
-        o = flat["o"][part] = o_block[tails, heads]
-        flat["tr"][part], flat["c"][part], flat["i"][part] = _flags_from_o(
-            n, o, d[lo + tails], d[heads])
-        at = part.stop
-    return _with_combos(flat, combos)
-
-
-def _with_combos(flat: dict, combos=FLAG_COMBOS) -> dict:
-    """The requested combos from the four single-flag arrays."""
-    pairs = {"oi": ("o", "i"), "ctr": ("c", "tr")}
-    return {cb: flat[pairs[cb][0]] + flat[pairs[cb][1]] if cb in pairs else flat[cb]
-            for cb in combos}
+        for f, h in _flag_histograms(n, o_block[tails, heads], d[lo + tails], d[heads]).items():
+            hists[f] += h
+    return hists
 
 
 def _sampled_arc_arrays(t: Tournament, samples: int, seed=None) -> dict:
-    """Flag counts on a seeded sample of arcs, one array per combo.
+    """Histograms of the flag counts on a seeded sample of arcs, one per combo.
 
     Pairs are drawn uniformly with replacement and oriented along their arc;
     o is popcounted 4096 arcs at a time, so the gathered rows stay small.
@@ -338,39 +334,36 @@ def _sampled_arc_arrays(t: Tournament, samples: int, seed=None) -> dict:
     heads = np.where(fwd, v, u)
     o = np.concatenate([_bits.popcount_rows(out[tails[lo:lo + 4096]] & out[heads[lo:lo + 4096]])
                         for lo in range(0, k, 4096)])
-    tr, c, i = _flags_from_o(t.n, o, d[tails], d[heads])
-    return _with_combos({"o": o, "i": i, "tr": tr, "c": c})
-
-
-def _factorial_sum(counts: np.ndarray) -> int:
-    """Exact sum of c*(c-1) over an int64 array, in int64.
-
-    Raises ExactnessBound unless max|c| * (max|c| + 1) * size < 2**63, which
-    bounds every term and partial sum: flag counts meet it for n < ~65 000.
-    """
-    top = int(np.abs(counts).max(initial=0))
-    if top * (top + 1) * counts.size >= 1 << 63:
-        raise ExactnessBound(f"int64 factorial sum of {counts.size} counts up to {top} may overflow")
-    return int((counts * (counts - 1)).sum())
+    return _flag_histograms(t.n, o, d[tails], d[heads])
 
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """Multiset of per-arc flag counts with their normalized statistics.
 
+    hist[k] is the number of arcs whose count is k, for 0 <= k <= n - 2.
     values are count/(n-2); the second factorial moment pairs count/(n-2)
     with (count-1)/(n-3), which is the finite-n-exact analogue of a squared
-    density.
+    density.  Only mean and second_moment expand hist into one value per arc.
     """
-    counts: np.ndarray = field(repr=False)
+    hist: np.ndarray = field(repr=False)
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", np.sort(np.asarray(self.counts, dtype=np.int64)))
+        hist = np.array(self.hist, dtype=np.int64)
+        if hist.shape != (self.n - 1,) or (hist < 0).any():
+            raise ValueError(f"a flag histogram for n={self.n} has {self.n - 1} nonnegative bins")
+        hist.setflags(write=False)
+        object.__setattr__(self, "hist", hist)
 
     @property
     def size(self) -> int:
-        return int(self.counts.size)
+        return int(self.hist.sum())
+
+    @property
+    def counts(self) -> np.ndarray:
+        """One count per arc, sorted."""
+        return np.repeat(np.arange(self.n - 1), self.hist)
 
     @property
     def values(self) -> np.ndarray:
@@ -384,9 +377,13 @@ class EmpiricalDistribution:
     def second_moment(self) -> float:
         return float((self.values ** 2).mean()) if self.size else 0.0
 
+    def count_sum(self) -> int:
+        """Exact integer sum of count over all arcs."""
+        return sum(k * h for k, h in enumerate(self.hist.tolist()))
+
     def factorial_sum(self) -> int:
         """Exact integer sum of count*(count-1) over all arcs."""
-        return _factorial_sum(self.counts)
+        return sum(k * (k - 1) * h for k, h in enumerate(self.hist.tolist()))
 
     @property
     def second_factorial_moment(self) -> float:
@@ -396,8 +393,14 @@ class EmpiricalDistribution:
 
     def value_counts(self) -> tuple:
         """(unique sorted values, multiplicities)."""
-        uniq, mult = np.unique(self.counts, return_counts=True)
-        return uniq / (self.n - 2), mult
+        k = np.flatnonzero(self.hist)
+        return k / (self.n - 2), self.hist[k]
+
+
+def arc_flag_distributions(t: Tournament, samples: int | None = None, seed=None) -> dict:
+    """Every combo's EmpiricalDistribution, over all arcs or `samples` seeded ones."""
+    hists = arc_flag_count_arrays(t) if samples is None else _sampled_arc_arrays(t, samples, seed)
+    return {f: EmpiricalDistribution(h, t.n) for f, h in hists.items()}
 
 
 def arc_flag_distribution(t: Tournament, combo: str) -> EmpiricalDistribution:
@@ -408,8 +411,7 @@ def arc_flag_distribution(t: Tournament, combo: str) -> EmpiricalDistribution:
     key = _COMBO_ALIASES.get(str(combo).lower())
     if key is None:
         raise ValueError(f"unknown flag combo {combo!r}; choose from {FLAG_COMBOS}")
-    counts = arc_flag_count_arrays(t, combos=(key,))[key]
-    return EmpiricalDistribution(counts=counts, n=t.n)
+    return arc_flag_distributions(t)[key]
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +462,12 @@ def ks_distance(dist: EmpiricalDistribution, ref: ReferenceDistribution) -> floa
     """
     if dist.size == 0:
         raise EmptyDistribution("no values to compare")
-    v = dist.values  # already sorted
-    m = v.size
-    pts = np.unique(np.concatenate([v, np.asarray(ref.atoms(), dtype=np.float64)]))
-    e_hi = np.searchsorted(v, pts, side="right") / m
-    e_lo = np.searchsorted(v, pts, side="left") / m
+    xs, mult = dist.value_counts()
+    below = np.concatenate([[0], np.cumsum(mult)])  # below[j] values lie under xs[j]
+    m = dist.size
+    pts = np.unique(np.concatenate([xs, np.asarray(ref.atoms(), dtype=np.float64)]))
+    e_hi = below[np.searchsorted(xs, pts, side="right")] / m
+    e_lo = below[np.searchsorted(xs, pts, side="left")] / m
     d_right = float(np.max(np.abs(e_hi - ref.cdf(pts))))
     d_left = float(np.max(np.abs(e_lo - ref.cdf_left(pts))))
     return max(d_right, d_left)
@@ -478,15 +481,15 @@ def distribution_to_csv(dist: EmpiricalDistribution, bins: int | None = None) ->
     """CSV text: sorted value,count pairs, or a binned histogram over [0,1]."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
+    xs, mult = dist.value_counts()
     if bins is None:
         w.writerow(["value", "count"])
-        uniq, mult = dist.value_counts()
-        for val, k in zip(uniq, mult):
+        for val, k in zip(xs, mult):
             w.writerow([repr(float(val)), int(k)])
     else:
         if bins < 1:
             raise ValueError("bins must be >= 1")
-        hist, edges = np.histogram(dist.values, bins=bins, range=(0.0, 1.0))
+        hist, edges = np.histogram(xs, bins=bins, range=(0.0, 1.0), weights=mult)
         w.writerow(["bin_lo", "bin_hi", "count"])
         for k in range(bins):
             w.writerow([repr(float(edges[k])), repr(float(edges[k + 1])), int(hist[k])])

@@ -15,23 +15,24 @@ error taxonomy from errors.py.
 from __future__ import annotations
 
 import io as _io
+import itertools
 import os
 from typing import Union
 
 import numpy as np
 
 from .core import Tournament, from_arc_list
-from .errors import TourneyError, VertexOutOfRange
+from .errors import MissingArc, TourneyError, VertexOutOfRange
 
 PathLike = Union[str, os.PathLike]
 
 
 def dumps_trn(t: Tournament) -> str:
     """Canonical .trn text; byte-stable for reproducibility checks."""
-    m = t.matrix()
-    lines = [str(t.n)]
-    lines.extend("".join("1" if b else "0" for b in row) for row in m)
-    return "\n".join(lines) + "\n"
+    n = t.n
+    rows = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+    np.add(t.matrix(), ord("0"), out=rows[:, :n], dtype=np.uint8)
+    return f"{n}\n" + rows.tobytes().decode("ascii")
 
 
 def write_trn(t: Tournament, path: PathLike) -> str:
@@ -97,12 +98,17 @@ def loads_arcs(text: str, n: int | None = None) -> Tournament:
         except ValueError:
             raise TourneyError(f"line {lineno}: vertices must be integers, got {ln!r}")
         arcs.append((u, v))
+    if any(u < 0 or v < 0 for u, v in arcs):
+        raise VertexOutOfRange("negative vertex label")
     if n is None:
         if not arcs:
             raise TourneyError("empty arc list and no vertex count given")
         n = max(max(u, v) for u, v in arcs) + 1
-    if any(u < 0 or v < 0 for u, v in arcs):
-        raise VertexOutOfRange("negative vertex label")
+        if len(arcs) < n * (n - 1) // 2:
+            # n came from a label: name the pair without n x n memory, one skip per arc
+            covered = {(min(u, v), max(u, v)) for u, v in arcs}
+            a, b = next(p for p in itertools.combinations(range(n), 2) if p not in covered)
+            raise MissingArc(f"no orientation for pair {{{a},{b}}}")
     return from_arc_list(n, arcs)
 
 

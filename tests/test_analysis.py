@@ -84,9 +84,10 @@ class TestIdentitySuite:
         from tourney.counting import arc_flag_count_arrays
         tr3, c3 = triple_counts(t)
         tr4, w4, l4, r4 = quad_counts(t)
-        arrays = arc_flag_count_arrays(t)
-        sums = {f: int(arrays[f].sum()) for f in ("o", "i", "tr", "c")}
-        fsums = {g: int((arrays[g] * (arrays[g] - 1)).sum())
+        hists = arc_flag_count_arrays(t)
+        k = np.arange(8)
+        sums = {f: int(k @ hists[f]) for f in ("o", "i", "tr", "c")}
+        fsums = {g: int((k * (k - 1)) @ hists[g])
                  for g in ("o", "i", "tr", "c", "oi", "ctr")}
         baseline = _identity_checks(9, tr3, c3, tr4, w4, l4, r4, sums, fsums)
         assert all(r.exact_zero for r in baseline)
@@ -154,6 +155,13 @@ class TestQuasiRandomReport:
         assert not r.passed
         assert r.residuals["conc_F.c"] > r.threshold
 
+    def test_concentration_is_strict_at_delta(self):
+        # carousel(5): o/(n-2) is 0 or 1/3 and c/(n-2) is 1/3 or 2/3, half
+        # the arcs each; |0 - 1/4| equals delta = 1/4 and is not beyond it
+        r = quasi_random_report(carousel(5), ReportConfig(delta=0.25))
+        assert r.residuals["conc_F.o"] == 0.0
+        assert r.residuals["conc_F.c"] == 0.5
+
     def test_signed_residuals_keep_sign(self):
         # carousel: p2 = p_tr4 + p_r4 - 3/4 is +1/4 - o(1), w4cap is -1/8
         r = quasi_random_report(carousel(501))
@@ -192,6 +200,25 @@ class TestReportMechanics:
         r = quasi_random_report(random_uniform(101, seed=6),
                                 provenance={"source": "unit-test"})
         assert r.provenance["source"] == "unit-test"
+
+    def test_reports_never_expand_flag_histograms(self, monkeypatch):
+        # exact and sampled reports and the identity suite work from the
+        # flag histograms alone, never from one value per arc
+        from tourney.counting import EmpiricalDistribution
+        t = digraphon_sample(61, seed=2)
+        configs = (ReportConfig(), ReportConfig(exact_limit=50, samples=5000, seed=1))
+        want = [fn(t, cfg).to_json() for cfg in configs
+                for fn in (quasi_carousel_report, quasi_random_report)]
+
+        def refuse(self):
+            raise AssertionError("a per-arc array was built")
+
+        for name in ("counts", "values"):
+            monkeypatch.setattr(EmpiricalDistribution, name, property(refuse), raising=False)
+        got = [fn(t, cfg).to_json() for cfg in configs
+               for fn in (quasi_carousel_report, quasi_random_report)]
+        assert got == want
+        assert all(r.exact_zero for r in identity_suite(t))
 
     def test_verdicts_follow_threshold(self):
         r = quasi_carousel_report(carousel(101))

@@ -34,6 +34,15 @@ from helpers import (
 )
 
 
+def counts_hist(counts, n):
+    """Histogram of length n - 1 of the given per-arc counts."""
+    return np.bincount(np.array(counts, dtype=np.int64), minlength=n - 1)
+
+
+def brute_flag_hist(t, combo):
+    return counts_hist(brute_flag_values(t, combo), t.n)
+
+
 class TestTripleCounts:
     def test_known_values(self):
         assert triple_counts(carousel(5)) == (5, 5)
@@ -108,9 +117,9 @@ class TestCodegreeKernel:
         monkeypatch.setattr(counting, "_BLOCK_BYTES", 8 * n * rows)
         t = random_uniform(n, seed=n)
         assert quad_counts(t) == brute_quads_fast(t)
-        arrs = arc_flag_count_arrays(t)
+        hists = arc_flag_count_arrays(t)
         for combo in FLAG_COMBOS:
-            assert sorted(arrs[combo].tolist()) == brute_flag_values(t, combo)
+            assert np.array_equal(hists[combo], brute_flag_hist(t, combo))
 
     def test_exactness_guard_fires_before_allocating(self):
         for fn in (quad_counts, arc_flag_count_arrays, find_obstruction):
@@ -187,34 +196,34 @@ class TestArcFlags:
         o, i, tr, c = (np.array(col) for col in zip(*want))
         for name, arr in {"o": o, "i": i, "tr": tr, "c": c,
                           "oi": o + i, "ctr": c + tr}.items():
-            assert np.array_equal(got[name], arr), name
+            assert np.array_equal(got[name], np.bincount(arr, minlength=92)), name
 
     def test_arrays_match_brute_multiset(self):
         rng = np.random.default_rng(3)
         for _ in range(6):
             n = int(rng.integers(4, 25))
             t = random_uniform(n, seed=int(rng.integers(2**31)))
-            arrs = arc_flag_count_arrays(t)
+            hists = arc_flag_count_arrays(t)
             for combo in ("o", "i", "tr", "c", "oi", "ctr"):
-                assert sorted(arrs[combo].tolist()) == brute_flag_values(t, combo)
+                assert np.array_equal(hists[combo], brute_flag_hist(t, combo))
 
-    def test_arrays_are_aligned_across_combos(self):
+    def test_each_histogram_counts_every_arc(self):
+        # per-arc totals o + i + tr + c = n - 2 are checked by arc_flag_counts
         t = random_uniform(15, seed=8)
-        arrs = arc_flag_count_arrays(t)
-        assert np.array_equal(arrs["oi"], arrs["o"] + arrs["i"])
-        assert np.array_equal(arrs["ctr"], arrs["c"] + arrs["tr"])
-        total = arrs["o"] + arrs["i"] + arrs["tr"] + arrs["c"]
-        assert np.all(total == 13)
+        for combo, h in arc_flag_count_arrays(t).items():
+            assert h.shape == (14,) and h.dtype == np.int64, combo
+            assert int(h.sum()) == comb(15, 2), combo
 
     def test_arc_sums_give_triples(self):
         # sum of o (and i, and tr) over arcs = tr3; sum of c = 3*c3
         t = random_uniform(30, seed=9)
         tr3, c3 = triple_counts(t)
-        arrs = arc_flag_count_arrays(t)
-        assert int(arrs["o"].sum()) == tr3
-        assert int(arrs["i"].sum()) == tr3
-        assert int(arrs["tr"].sum()) == tr3
-        assert int(arrs["c"].sum()) == 3 * c3
+        hists = arc_flag_count_arrays(t)
+        k = np.arange(29)
+        assert int(k @ hists["o"]) == tr3
+        assert int(k @ hists["i"]) == tr3
+        assert int(k @ hists["tr"]) == tr3
+        assert int(k @ hists["c"]) == 3 * c3
 
 
 class TestSampledDensities:
@@ -272,20 +281,35 @@ class TestDistributions:
             arc_flag_distribution(t, "bogus")
 
     def test_moments(self):
-        d = EmpiricalDistribution(counts=np.array([0, 1, 3]), n=5)
+        d = EmpiricalDistribution(counts_hist([0, 1, 3], 5), n=5)
         # values are 0, 1/3, 1 -> mean 4/9
         assert d.mean == pytest.approx(4 / 9)
         assert d.second_moment == pytest.approx((0 + 1 / 9 + 1) / 3)
+        assert d.count_sum() == 0 + 1 + 3
         assert d.factorial_sum() == 0 + 0 + 6
         assert d.second_factorial_moment == pytest.approx(6 / (3 * 3 * 2))
+        assert d.counts.tolist() == [0, 1, 3]
 
-    def test_factorial_sum_int64_bound(self):
-        # top * (top + 1) * size just under 2**63 sums exactly; above, raises
-        top = 2 ** 31 - 1
-        d = EmpiricalDistribution(counts=np.array([top, -top]), n=5)
-        assert d.factorial_sum() == top * (top - 1) + top * (top + 1)
-        with pytest.raises(ExactnessBound):
-            EmpiricalDistribution(counts=np.array([top + 1, 0]), n=5).factorial_sum()
+    def test_factorial_sum_exact_past_int64(self):
+        # 2**44 arcs with count 999: the sum is about 2**64
+        n = 1001
+        hist = np.zeros(n - 1, dtype=np.int64)
+        hist[n - 2] = 2 ** 44
+        d = EmpiricalDistribution(hist, n)
+        assert d.factorial_sum() == 2 ** 44 * (n - 2) * (n - 3)
+        assert d.factorial_sum() > 2 ** 63
+        assert d.size == 2 ** 44
+
+    def test_histogram_validated(self):
+        with pytest.raises(ValueError, match="bins"):
+            EmpiricalDistribution(np.zeros(5, dtype=np.int64), n=5)
+        with pytest.raises(ValueError, match="bins"):
+            EmpiricalDistribution(np.zeros((2, 2), dtype=np.int64), n=5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            EmpiricalDistribution(np.array([1, -1, 0, 0]), n=5)
+        d = EmpiricalDistribution(np.array([1, 0, 2, 0]), n=5)
+        with pytest.raises(ValueError):
+            d.hist[0] = 7
 
     def test_transitive_c_flag_is_zero(self):
         d = arc_flag_distribution(transitive(50), "c")
@@ -296,12 +320,12 @@ class TestDistributions:
 class TestKS:
     def test_exact_tiny_case(self):
         # values 0.2, 0.6 against U(0,1): ECDF jumps to 1 at 0.6, F = 0.6
-        d = EmpiricalDistribution(counts=np.array([1, 3]), n=7)
+        d = EmpiricalDistribution(counts_hist([1, 3], 7), n=7)
         ref = ReferenceDistribution.uniform(1.0)
         assert ks_distance(d, ref) == pytest.approx(0.4)
 
     def test_point_mass_reference(self):
-        d = EmpiricalDistribution(counts=np.array([2, 2, 2, 2]), n=10)
+        d = EmpiricalDistribution(counts_hist([2, 2, 2, 2], 10), n=10)
         assert ks_distance(d, ReferenceDistribution.point_mass(0.25)) == 0.0
         assert ks_distance(d, ReferenceDistribution.point_mass(0.5)) == 1.0
 
@@ -334,7 +358,7 @@ class TestKS:
             assert ks_oracle(d.values, ref.cdf) == pytest.approx(want, abs=1e-9)
 
     def test_empty_distribution(self):
-        d = EmpiricalDistribution(counts=np.array([], dtype=np.int64), n=5)
+        d = EmpiricalDistribution(counts_hist([], 5), n=5)
         with pytest.raises(EmptyDistribution):
             ks_distance(d, ReferenceDistribution.uniform(1.0))
 

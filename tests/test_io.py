@@ -1,4 +1,8 @@
 """Text formats: .trn matrices and arc lists."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,13 @@ from tourney.io import (
 def test_trn_dumps_known_bytes():
     t = carousel(5)
     assert dumps_trn(t) == "5\n01100\n00110\n00011\n10001\n11000\n"
+
+
+def test_trn_dumps_matches_per_character_reference():
+    for n in (1, 2, 63, 64, 65):
+        t = random_uniform(n, seed=n)
+        rows = ("".join("1" if b else "0" for b in row) for row in t.matrix())
+        assert dumps_trn(t) == "\n".join([str(n), *rows]) + "\n"
 
 
 def test_trn_string_roundtrip():
@@ -99,6 +110,13 @@ def test_arcs_parse_errors():
     assert loads_arcs("0 1\n").n == 2
     with pytest.raises(MissingArc):
         loads_arcs("0 1\n", n=3)
+    # n inferred from a label: the first missing pair is named, duplicates
+    # of one orientation still count once
+    with pytest.raises(MissingArc, match=r"pair \{1,2\}"):
+        loads_arcs("0 1\n0 1\n2 0\n0 3\n")
+    with pytest.raises(MissingArc, match=r"pair \{0,1\}"):
+        loads_arcs("0 3000\n")
+    assert loads_arcs("0 1\n0 1\n2 0\n1 2\n").n == 3
 
 
 def test_arcs_file_roundtrip(tmp_path):
@@ -106,3 +124,26 @@ def test_arcs_file_roundtrip(tmp_path):
     p = tmp_path / "t.arcs"
     write_arcs(t, p)
     assert read_arcs(p) == t
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_arcs_missing_pairs_found_before_sizing_by_label(tmp_path):
+    # one arc whose label implies n = 3001: convert must name the missing
+    # pair without an n x n allocation, so the child stays small.  The
+    # child reports VmHWM, the peak of its own address space: on Linux its
+    # ru_maxrss would also carry the peak of the process that spawned it.
+    (tmp_path / "big.arcs").write_text("0 3000\n")
+    child = (
+        "from tourney.cli import main\n"
+        "code = main(['convert', 'big.arcs', 'big.trn'])\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+        "print(code, hwm[0].split()[1])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 2
+    assert done.stderr == "error: parse error in big.arcs: no orientation for pair {0,1}\n"
+    assert peak_kib < 100 * 1024
