@@ -63,15 +63,13 @@ class Tournament:
         diag = np.flatnonzero(np.diagonal(matrix))
         if diag.size:
             raise SelfLoop(f"self-loop at vertex {int(diag[0])}")
-        both = matrix & matrix.T
-        if both.any():
-            u, v = np.argwhere(both)[0]
-            raise ConflictingArc(f"both orientations present for pair {{{int(min(u, v))},{int(max(u, v))}}}")
-        neither = ~(matrix | matrix.T)
-        np.fill_diagonal(neither, False)
-        if neither.any():
-            u, v = np.argwhere(neither)[0]
-            raise MissingArc(f"no orientation for pair {{{int(min(u, v))},{int(max(u, v))}}}")
+        pair = _first_pair(matrix, np.logical_and)
+        if pair:
+            raise ConflictingArc(f"both orientations present for pair {{{pair[0]},{pair[1]}}}")
+        # with no conflicts and an empty diagonal, C(n,2) arcs means every pair is oriented
+        if np.count_nonzero(matrix) != n * (n - 1) // 2:
+            pair = _first_pair(matrix, lambda uv, vu: ~(uv | vu))
+            raise MissingArc(f"no orientation for pair {{{pair[0]},{pair[1]}}}")
         self._init_validated(n, matrix)
 
     def _init_validated(self, n: int, matrix: np.ndarray) -> None:
@@ -117,13 +115,6 @@ class Tournament:
         beats_v[v] = False
         return np.flatnonzero(beats_v)
 
-    def arcs(self):
-        """All arcs in lexicographic (u, v) order."""
-        m = self.matrix()
-        for u in range(self.n):
-            for v in np.flatnonzero(m[u]):
-                yield u, int(v)
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise VertexOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
@@ -142,27 +133,82 @@ class Tournament:
         return f"Tournament(n={self.n})"
 
 
+# rows per block of the pair scans: a (256, n) bool block is 1 MB at n = 4001
+_SCAN_ROWS = 256
+
+# stands in for a label beyond int64: out of range for any vertex count
+_HUGE = 10 ** 18
+
+
+def _first_pair(m: np.ndarray, hit):
+    """Lexicographically first pair (u, v), u < v, with hit(m[u, v], m[v, u]).
+
+    Scans the upper triangle in blocks of _SCAN_ROWS rows against the
+    transposed column block, so no n x n temporary is made; hit must be
+    symmetric in its arguments.
+    """
+    n = m.shape[0]
+    for lo in range(0, n, _SCAN_ROWS):
+        hi = min(lo + _SCAN_ROWS, n)
+        block = hit(m[lo:hi, lo:], m[lo:, lo:hi].T)
+        block[:, :hi - lo] = np.triu(block[:, :hi - lo], 1)
+        if block.any():
+            u, v = np.argwhere(block)[0]
+            return lo + int(u), lo + int(v)
+    return None
+
+
 def from_arc_list(n: int, arcs) -> Tournament:
     """Build a tournament on n vertices from explicit (u, v) arcs.
 
-    Every unordered pair must be oriented exactly once; duplicates of the
-    same orientation are tolerated.
+    arcs is a (k, 2) integer array or any iterable of pairs.  Every
+    unordered pair must be oriented exactly once; duplicates of the same
+    orientation are tolerated.  Errors name the earliest offending arc.
     """
     if n < 1:
         raise ValueError("a tournament needs at least one vertex")
+    pairs = arcs if isinstance(arcs, np.ndarray) else list(arcs)
+    try:
+        a = np.asarray(pairs, dtype=np.int64)
+    except OverflowError:
+        # labels past int64 are out of range for any n; the message reads pairs
+        a = np.clip(np.asarray(pairs, dtype=object), -_HUGE, _HUGE).astype(np.int64)
+    a = a.reshape(0, 2) if a.size == 0 else a
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError("arcs must be (u, v) pairs")
+    return _orient(n, a, lambda k: tuple(int(x) for x in pairs[k]))
+
+
+def _orient(n: int, a: np.ndarray, pair_at) -> Tournament:
+    """from_arc_list on a (k, 2) int64 array; pair_at(k) gives arc k's exact labels.
+
+    Raises what checking the arcs one at a time would: for the earliest
+    arc that is out of range, a self-loop, or the reverse of an earlier arc.
+    """
+    u, v = a[:, 0], a[:, 1]
+    # a negative label reads as a huge unsigned one, so one comparison checks both ends
+    bad = (np.maximum(u.view(np.uint64), v.view(np.uint64)) >= n) | (u == v)
+    stop = int(np.argmax(bad)) if bad.any() else len(a)
+    u, v = u[:stop], v[:stop]
     m = np.zeros((n, n), dtype=bool)
-    for u, v in arcs:
-        u, v = int(u), int(v)
-        if not (0 <= u < n):
-            raise VertexOutOfRange(f"vertex {u} outside 0..{n - 1}")
-        if not (0 <= v < n):
-            raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        if m[v, u]:
-            raise ConflictingArc(f"both orientations present for pair {{{min(u, v)},{max(u, v)}}}")
-        m[u, v] = True
-    return Tournament(m)  # Tournament() re-checks completeness, reporting MissingArc
+    m[u, v] = True
+    if _first_pair(m, np.logical_and):  # some pair given both ways: find its arc
+        clash = np.flatnonzero(m[v, u])  # every arc of such a pair
+        cu, cv = u[clash], v[clash]
+        # first arc of each (pair, direction); a pair's later one is its first
+        # arc whose reverse came earlier
+        _, first = np.unique((np.minimum(cu, cv) * n + np.maximum(cu, cv)) * 2 + (cu < cv),
+                             return_index=True)
+        k = int(clash[first.reshape(-1, 2).max(axis=1).min()])
+        raise ConflictingArc(f"both orientations present for pair "
+                             f"{{{int(min(u[k], v[k]))},{int(max(u[k], v[k]))}}}")
+    if stop < len(a):
+        pu, pv = pair_at(stop)
+        for x in (pu, pv):
+            if not 0 <= x < n:
+                raise VertexOutOfRange(f"vertex {x} outside 0..{n - 1}")
+        raise SelfLoop(f"self-loop at vertex {pu}")
+    return Tournament(m)  # Tournament() checks completeness, reporting MissingArc
 
 
 def induced(t: Tournament, subset) -> Tournament:

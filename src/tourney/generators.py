@@ -47,11 +47,20 @@ def random_uniform(n: int, seed=None) -> Tournament:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)  # row-major, i.e. lexicographic pairs
-    coins = rng.integers(0, 2, size=iu.size, dtype=np.uint8).astype(bool)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     a = np.zeros((n, n), dtype=bool)
-    a[iu, ju] = coins
-    a[ju, iu] = ~coins
+    a[upper] = _coins(rng, n)
+    return _complete_upper(a, upper)
+
+
+def _coins(rng, n: int) -> np.ndarray:
+    """One fair coin per pair, drawn in lexicographic (u, v) order."""
+    return rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8).astype(bool)
+
+
+def _complete_upper(a: np.ndarray, upper: np.ndarray) -> Tournament:
+    """Orient each pair u < v against a[u, v], given on the upper triangle."""
+    a |= upper.T & ~a.T
     return Tournament._from_validated(a)
 
 
@@ -107,16 +116,13 @@ def layered(spec: LayeredSpec) -> Tournament:
     for s in sizes[1:]:
         depth[:s] += 1
     rng = np.random.default_rng(spec.seed)
-    iu, ju = np.triu_indices(N, 1)
-    coins = rng.integers(0, 2, size=iu.size, dtype=np.uint8).astype(bool)
+    upper = np.triu(np.ones((N, N), dtype=bool), 1)
+    a = np.zeros((N, N), dtype=bool)
+    a[upper] = _coins(rng, N)
     # u < v: either both sit in the same difference set (coin) or u is the
     # deeper one and beats v.
-    same = depth[iu] == depth[ju]
-    up = np.where(same, coins, True)
-    a = np.zeros((N, N), dtype=bool)
-    a[iu, ju] = up
-    a[ju, iu] = ~up
-    return Tournament._from_validated(a)
+    a |= upper & (depth[:, None] != depth[None, :])
+    return _complete_upper(a, upper)
 
 
 def digraphon_from_points(points) -> Tournament:

@@ -13,6 +13,13 @@ from math import comb
 import numpy as np
 
 from tourney import Tournament, from_arc_list
+from tourney.errors import (
+    ConflictingArc,
+    MissingArc,
+    SelfLoop,
+    TourneyError,
+    VertexOutOfRange,
+)
 
 
 def brute_triples(t: Tournament) -> tuple[int, int]:
@@ -232,3 +239,96 @@ def ks_oracle(values, cdf, grid: int = 200001) -> float:
         ecdf = np.searchsorted(values, pts, side="right") / n
         best = max(best, float(np.max(np.abs(ecdf - cdf(pts)))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# line-by-line reference parsers
+# ---------------------------------------------------------------------------
+#
+# The per-line and per-arc loops the library's numpy parsers replaced.  They
+# call nothing of tourney's but its error classes and return a dense boolean
+# matrix, validated as the old Tournament constructor did, or raise.
+
+def ref_validate(m: np.ndarray) -> np.ndarray:
+    """Dense tournament checks: self-loop, then conflict, then missing pair."""
+    diag = np.flatnonzero(np.diagonal(m))
+    if diag.size:
+        raise SelfLoop(f"self-loop at vertex {int(diag[0])}")
+    both = m & m.T
+    if both.any():
+        u, v = np.argwhere(both)[0]
+        raise ConflictingArc(f"both orientations present for pair {{{int(min(u, v))},{int(max(u, v))}}}")
+    neither = ~(m | m.T)
+    np.fill_diagonal(neither, False)
+    if neither.any():
+        u, v = np.argwhere(neither)[0]
+        raise MissingArc(f"no orientation for pair {{{int(min(u, v))},{int(max(u, v))}}}")
+    return m
+
+
+def ref_from_arc_list(n: int, arcs) -> np.ndarray:
+    if n < 1:
+        raise ValueError("a tournament needs at least one vertex")
+    m = np.zeros((n, n), dtype=bool)
+    for u, v in arcs:
+        u, v = int(u), int(v)
+        if not (0 <= u < n):
+            raise VertexOutOfRange(f"vertex {u} outside 0..{n - 1}")
+        if not (0 <= v < n):
+            raise VertexOutOfRange(f"vertex {v} outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        if m[v, u]:
+            raise ConflictingArc(f"both orientations present for pair {{{min(u, v)},{max(u, v)}}}")
+        m[u, v] = True
+    return ref_validate(m)
+
+
+def ref_loads_trn(text: str) -> np.ndarray:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise TourneyError("empty .trn input")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise TourneyError(f"first .trn line must be the vertex count, got {lines[0]!r}")
+    if n < 1:
+        raise TourneyError(f"vertex count must be >= 1, got {n}")
+    if len(lines) != n + 1:
+        raise TourneyError(f"expected {n} matrix rows, got {len(lines) - 1}")
+    m = np.zeros((n, n), dtype=bool)
+    for u, row in enumerate(lines[1:]):
+        if len(row) != n:
+            raise TourneyError(f"row {u} has {len(row)} columns, expected {n}")
+        bad = set(row) - {"0", "1"}
+        if bad:
+            raise TourneyError(f"row {u} contains invalid character {sorted(bad)[0]!r}")
+        m[u] = [ch == "1" for ch in row]
+    return ref_validate(m)
+
+
+def ref_loads_arcs(text: str, n: int | None = None) -> np.ndarray:
+    arcs = []
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        parts = ln.split()
+        if len(parts) != 2:
+            raise TourneyError(f"line {lineno}: expected 'u v', got {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise TourneyError(f"line {lineno}: vertices must be integers, got {ln!r}")
+        arcs.append((u, v))
+    if any(u < 0 or v < 0 for u, v in arcs):
+        raise VertexOutOfRange("negative vertex label")
+    if n is None:
+        if not arcs:
+            raise TourneyError("empty arc list and no vertex count given")
+        n = max(max(u, v) for u, v in arcs) + 1
+        if len(arcs) < n * (n - 1) // 2:
+            covered = {(min(u, v), max(u, v)) for u, v in arcs}
+            a, b = next(p for p in combinations(range(n), 2) if p not in covered)
+            raise MissingArc(f"no orientation for pair {{{a},{b}}}")
+    return ref_from_arc_list(n, arcs)

@@ -23,6 +23,7 @@ from tourney.errors import (
     VertexOutOfRange,
     WrongOrder,
 )
+from tourney.io import dumps_arcs
 
 from helpers import _perm_tables, all_tournaments, tournament_from_code
 
@@ -68,7 +69,8 @@ def test_constructor_rejects_non_square_and_empty():
 def test_single_vertex():
     t = Tournament(np.zeros((1, 1), dtype=bool))
     assert t.n == 1
-    assert list(t.arcs()) == []
+    assert dumps_arcs(t) == ""
+    assert np.nonzero(t.matrix())[0].size == 0
     assert score_sequence(t) == (0,)
 
 
@@ -95,6 +97,24 @@ def test_from_arc_list_errors():
         from_arc_list(0, [])
 
 
+def test_from_arc_list_names_the_earliest_offending_arc():
+    # arcs are judged in order: the first arc that is out of range, a
+    # self-loop, or the reverse of an earlier arc decides the error
+    with pytest.raises(ConflictingArc, match=r"\{0,1\}"):
+        from_arc_list(3, [(0, 1), (1, 0), (2, 2)])
+    with pytest.raises(SelfLoop, match="vertex 2"):
+        from_arc_list(3, [(2, 2), (0, 1), (1, 0)])
+    with pytest.raises(ConflictingArc, match=r"\{2,3\}"):
+        from_arc_list(4, [(0, 1), (2, 3), (3, 2), (1, 0)])
+    with pytest.raises(ConflictingArc, match=r"\{0,1\}"):
+        from_arc_list(3, [(0, 1), (1, 0), (0, 7)])
+    with pytest.raises(VertexOutOfRange, match="vertex 7 outside 0..2"):
+        from_arc_list(3, [(0, 1), (0, 7), (1, 0)])
+    # the reversed-pair order again, through an int64 array
+    with pytest.raises(ConflictingArc, match=r"\{2,3\}"):
+        from_arc_list(4, np.array([(0, 1), (2, 3), (3, 2), (1, 0)]))
+
+
 def test_has_arc_and_neighbors():
     t = carousel(7)
     for u in range(7):
@@ -112,10 +132,11 @@ def test_has_arc_and_neighbors():
 
 def test_arcs_lexicographic_and_complete():
     t = random_uniform(9, seed=5)
-    arcs = list(t.arcs())
+    arcs = [tuple(map(int, ln.split())) for ln in dumps_arcs(t).splitlines()]
     assert arcs == sorted(arcs)
     assert len(arcs) == 9 * 8 // 2
     assert all(t.has_arc(u, v) for u, v in arcs)
+    assert arcs == list(zip(*(idx.tolist() for idx in np.nonzero(t.matrix()))))
 
 
 def test_outdegrees_match_matrix():

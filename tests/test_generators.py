@@ -1,4 +1,6 @@
 """Generator family: carousel, transitive, coin-flip, layered, circular kernel."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,30 @@ def test_generator_trn_bytes_stable():
     assert dumps_trn(random_uniform(5, seed=0)) == "5\n00111\n10110\n00010\n00001\n01100\n"
     assert dumps_trn(layered(LayeredSpec(N=4, t=0.5, seed=0))) == "4\n0111\n0011\n0001\n0000\n"
     assert dumps_trn(digraphon_sample(4, seed=0)) == "4\n0100\n0011\n1001\n1000\n"
+
+
+# sha256 of dumps_trn, taken when the upper triangle was filled through
+# int64 triu_indices: the boolean-mask fill must draw the same PCG64 stream
+TRN_PINS = {
+    ("random", 1, 0): "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea",
+    ("random", 2, 1): "7cb88c2222659bea546b7da5263187e6cfdb13afd935e331afbc28dcfb925c28",
+    ("random", 3, 2): "6fef54cff9a1af8723faaf68f20cd6518138e22d157258a1bff57559f9bc6557",
+    ("random", 64, 3): "75ee372ea7072a655d0d110f03cba9395ba8ccca11fae20d8e28cfb037c30fef",
+    ("random", 65, 4): "9aa9b59d1ec6f59676d624742b5bcee74fe9be2ee8ac419dccca99c9ce53fa0f",
+    ("random", 701, 6): "028d93045babea23012df704dd6dbda09368aca6c68ec51bde45ae8f88eebb15",
+    ("layered", 1, 0): "5d90ef7fc0d040fd56a1e48697cfa99e0dfaf4fd803aefefc3b5053ec1d36aea",
+    ("layered", 3, 2): "fe2c31e83d40ed3177119b74d82b34cfe8f8c1a63daf90e55639e0c725c2631a",
+    ("layered", 65, 3): "4b4a64075743ae3852f2603ffda6b53ace6ccb27d9aadcbbd4fb9305db0f1ed5",
+    ("layered", 130, 4): "4a70549fab5a1fdc576c1a9a859561e17099bbdb2c89bae18b3532890f409a95",
+    ("layered", 701, 5): "4310ff051ffc8b669715d424580cdac8bc07214fca5fdb24373c65575a82dd26",
+}
+LAYERED_T = {1: 0.5, 3: 0.3, 65: 0.5, 130: 0.3, 701: 0.7}
+
+
+@pytest.mark.parametrize("kind,n,seed", sorted(TRN_PINS))
+def test_generator_trn_sha256_pinned(kind, n, seed):
+    if kind == "random":
+        t = random_uniform(n, seed=seed)
+    else:
+        t = layered(LayeredSpec(N=n, t=LAYERED_T[n], seed=seed))
+    assert hashlib.sha256(dumps_trn(t).encode()).hexdigest() == TRN_PINS[kind, n, seed]

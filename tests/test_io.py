@@ -1,5 +1,7 @@
 """Text formats: .trn matrices and arc lists."""
+import json
 import os
+import random
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from tourney import carousel, random_uniform, transitive
+from tourney import io as tio
 from tourney.errors import ConflictingArc, MissingArc, SelfLoop, TourneyError
 from tourney.io import (
     dumps_arcs,
@@ -86,6 +89,15 @@ def test_arcs_dumps_lexicographic():
     assert len(lines) == 10
 
 
+def test_arcs_dumps_matches_per_arc_reference(monkeypatch):
+    for rows in (tio._DUMP_ROWS, 3):  # the default, and blocks that end mid-file
+        monkeypatch.setattr(tio, "_DUMP_ROWS", rows)
+        for n in (1, 2, 9, 10, 11, 101):
+            t = random_uniform(n, seed=n)
+            u, v = np.nonzero(t.matrix())
+            assert dumps_arcs(t) == "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+
+
 def test_arcs_roundtrip_with_and_without_n():
     t = random_uniform(11, seed=4)
     text = dumps_arcs(t)
@@ -147,3 +159,100 @@ def test_arcs_missing_pairs_found_before_sizing_by_label(tmp_path):
     assert code == 2
     assert done.stderr == "error: parse error in big.arcs: no orientation for pair {0,1}\n"
     assert peak_kib < 100 * 1024
+
+
+def _malformed_inputs(rng: random.Random) -> dict:
+    """Seeded malformed .trn and arc-list files: name -> bytes."""
+    files = {}
+    for k in range(60):
+        n = rng.choice([1, 2, 3, 5, 8, 17, 40])
+        t = random_uniform(n, seed=k)
+        rows = dumps_trn(t).splitlines()
+        arcs = dumps_arcs(t).splitlines()
+        if n > 1 and rng.random() < 0.5:  # a pair oriented both ways, or neither
+            u, v = rng.sample(range(1, n + 1), 2)
+            bit = rng.choice("01")
+            rows[u] = rows[u][:v - 1] + bit + rows[u][v:]
+            rows[v] = rows[v][:u - 1] + bit + rows[v][u:]
+        for _ in range(rng.randint(1, 3)):  # each edit alone spoils the file
+            u = rng.randrange(1, len(rows)) if len(rows) > 1 else 0
+            edit = rng.choice(["char", "drop", "long", "header", "blank"])
+            if edit == "char":
+                at = rng.randrange(n)
+                rows[u] = rows[u][:at] + rng.choice("2x\xe9\u0661\x00-#") + rows[u][at + 1:]
+            elif edit == "drop" and len(rows) > 1:
+                rows.pop(rng.randrange(1, len(rows)))
+            elif edit == "long":
+                rows[u] += rng.choice("01x")
+            elif edit == "header":
+                rows[0] = rng.choice([str(n + 1), "0", "-3", "x", "1e9", "4000000", "99999999999999999999"])
+            else:
+                rows[rng.randrange(len(rows))] = rng.choice(["", "  ", "\x0c"])
+        files[f"f{k}.trn"] = "\n".join(rows).encode()
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(arcs) + 1)
+            u, v = rng.randrange(n), rng.randrange(n)
+            edit = rng.choice(["drop", "reverse", "loop", "three", "word", "negative", "far", "huge"])
+            if edit == "drop" and n > 2:
+                arcs.pop(rng.randrange(len(arcs)))
+            elif edit == "reverse" and arcs:
+                a, b = rng.choice(arcs).split()
+                arcs.insert(at, f"{b} {a}")
+            elif edit == "loop":
+                arcs.insert(at, f"{u} {u}")
+            elif edit == "three":
+                arcs.insert(at, f"{u} {v} {u}")
+            elif edit == "word":
+                arcs.insert(at, rng.choice([f"{u} x", "0x1 2", "1.5 2", "+ 1", "1__2 3"]))
+            elif edit == "negative":
+                arcs.insert(at, f"-{u + 1} {v}")
+            elif edit == "far":
+                arcs.insert(at, f"{u} {rng.choice([n + 1, 3000, 4000000])}")
+            else:
+                arcs.insert(at, f"{u} {'9' * rng.choice([19, 40, 5000])}")
+        files[f"f{k}.arcs"] = "\r\n".join(arcs).encode() if k % 4 == 0 else "\n".join(arcs).encode()
+    files["utf8.trn"] = b"2\n0\xff\n00\n"
+    files["utf8.arcs"] = b"0 1\n\xfe\n"
+    files["long-line.arcs"] = ("0 " * 200_000).encode()
+    files["long-token.arcs"] = b"1" * 2_000_000 + b" 2\n"
+    files["many-rows.trn"] = b"3000\n" + b"0" * 3000 + b"\n"
+    return files
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_cli_rejects_malformed_files_within_a_memory_ceiling(tmp_path):
+    # every malformed file makes convert (and stats, on .trn) exit 1 or 2
+    # with an "error:" line and no traceback; a fresh child runs them all
+    # and reports the peak of its own address space (VmHWM)
+    files = _malformed_inputs(random.Random(7))
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argvs = [["convert", name, "out.arcs" if name.endswith(".trn") else "out.trn"] for name in files]
+    argvs += [["stats", name] for name in files if name.endswith(".trn")]
+    (tmp_path / "argvs.json").write_text(json.dumps(argvs))
+    child = (
+        "import contextlib, io, json\n"
+        "from tourney.cli import main\n"
+        "results = []\n"
+        "for argv in json.load(open('argvs.json')):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except BaseException as exc:\n"
+        "            code = type(exc).__name__\n"
+        "    results.append([argv, code, err.getvalue()[:200]])\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+        "print(json.dumps({'results': results, 'peak_kib': int(hwm[0].split()[1])}))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    for argv, code, err in report["results"]:
+        assert code in (1, 2), (argv, code, err)
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+    assert len(report["results"]) == len(argvs)
+    assert report["peak_kib"] < 100 * 1024
