@@ -21,7 +21,6 @@ from .counting import (
     _quads_from_sums,
     arc_flag_distributions,
     ks_distance,
-    quad_counts,
     sampled_quad_densities,
     triple_counts,
 )
@@ -146,8 +145,8 @@ def identity_suite(t: Tournament) -> list:
     if t.n < 6:
         raise OrderTooSmall(f"identity suite needs n >= 6, got {t.n}")
     tr3, c3 = triple_counts(t)
-    tr4, w4, l4, r4 = quad_counts(t)
     dists = arc_flag_distributions(t)
+    tr4, w4, l4, r4 = _quads_from_sums(t, dists)
     sums = {f: dists[f].count_sum() for f in ("o", "i", "tr", "c")}
     fsums = {g: d.factorial_sum() for g, d in dists.items()}
     return _identity_checks(t.n, tr3, c3, tr4, w4, l4, r4, sums, fsums)
@@ -169,7 +168,7 @@ class ReportConfig:
     delta: float = 0.05
     samples: int = 1_000_000
     seed: object = 0
-    exact_limit: int = 4000
+    exact_limit: int = 8000
     floor: float = 0.02
     slack: float = 4.0
 
@@ -212,8 +211,7 @@ def _gather_counts(t: Tournament, config: ReportConfig) -> tuple:
     info = {"n": n, "p_c3": c3 / b3, "mode": "exact"}
     if n <= config.exact_limit:
         dists = arc_flag_distributions(t)
-        tr4, w4, l4, r4 = _quads_from_sums(
-            t, dists["o"].factorial_sum() // 2, dists["tr"].factorial_sum() // 2)
+        tr4, w4, l4, r4 = _quads_from_sums(t, dists)
         b4 = math.comb(n, 4)
         info.update(p_tr4=tr4 / b4, p_w4=w4 / b4, p_l4=l4 / b4, p_r4=r4 / b4)
     else:

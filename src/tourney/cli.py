@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--sample", type=int, default=None,
                    help="force sampled order-4 densities with this many draws")
     s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--exact-limit", type=int, default=4000,
+    s.add_argument("--exact-limit", type=int, default=8000,
                    help="max n for the exact order-4 census")
 
     a = sub.add_parser("arcflags", help="per-arc flag distribution as CSV + moments JSON")

@@ -66,10 +66,7 @@ class Tournament:
         pair = _first_pair(matrix, np.logical_and)
         if pair:
             raise ConflictingArc(f"both orientations present for pair {{{pair[0]},{pair[1]}}}")
-        # with no conflicts and an empty diagonal, C(n,2) arcs means every pair is oriented
-        if np.count_nonzero(matrix) != n * (n - 1) // 2:
-            pair = _first_pair(matrix, lambda uv, vu: ~(uv | vu))
-            raise MissingArc(f"no orientation for pair {{{pair[0]},{pair[1]}}}")
+        _check_complete(matrix)
         self._init_validated(n, matrix)
 
     def _init_validated(self, n: int, matrix: np.ndarray) -> None:
@@ -158,6 +155,16 @@ def _first_pair(m: np.ndarray, hit):
     return None
 
 
+def _check_complete(m: np.ndarray) -> None:
+    """Raise MissingArc for the first unoriented pair of a square bool matrix
+    with an empty diagonal and no pair given both ways."""
+    n = m.shape[0]
+    # then C(n,2) arcs means every pair is oriented
+    if np.count_nonzero(m) != n * (n - 1) // 2:
+        pair = _first_pair(m, lambda uv, vu: ~(uv | vu))
+        raise MissingArc(f"no orientation for pair {{{pair[0]},{pair[1]}}}")
+
+
 def from_arc_list(n: int, arcs) -> Tournament:
     """Build a tournament on n vertices from explicit (u, v) arcs.
 
@@ -208,7 +215,8 @@ def _orient(n: int, a: np.ndarray, pair_at) -> Tournament:
             if not 0 <= x < n:
                 raise VertexOutOfRange(f"vertex {x} outside 0..{n - 1}")
         raise SelfLoop(f"self-loop at vertex {pu}")
-    return Tournament(m)  # Tournament() checks completeness, reporting MissingArc
+    _check_complete(m)
+    return Tournament._from_validated(m)
 
 
 def induced(t: Tournament, subset) -> Tournament:

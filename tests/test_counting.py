@@ -1,4 +1,6 @@
 """Exact censuses, sampled densities, flag distributions, KS distances."""
+import functools
+import itertools
 from math import comb
 
 import numpy as np
@@ -13,6 +15,7 @@ from tourney import (
     count_profile,
     distribution_to_csv,
     find_obstruction,
+    induced,
     ks_distance,
     quad_counts,
     random_uniform,
@@ -110,16 +113,39 @@ class _HugeOrder:
         raise AssertionError(f"read {name} of a stub tournament")
 
 
+@functools.cache
+def kernel_oracles(n):
+    """random_uniform(n, seed=n) with its brute census and flag histograms."""
+    t = random_uniform(n, seed=n)
+    return t, brute_quads_fast(t), {combo: brute_flag_hist(t, combo) for combo in FLAG_COMBOS}
+
+
 class TestCodegreeKernel:
-    @pytest.mark.parametrize("n, rows", [(63, 16), (64, 16), (65, 16),
-                                         (31, 32), (32, 32), (33, 32)])
+    # rows 1 makes every block a diagonal square; rows 3, 16 and 32 leave a
+    # short last block at some n; n = 63, 64, 65 put a triangle edge on a
+    # 64-bit word boundary
+    @pytest.mark.parametrize("n, rows", list(itertools.product([31, 32, 33, 63, 64, 65],
+                                                               [1, 3, 16, 32])))
     def test_matches_oracles_at_word_and_block_edges(self, monkeypatch, n, rows):
-        monkeypatch.setattr(counting, "_BLOCK_BYTES", 8 * n * rows)
-        t = random_uniform(n, seed=n)
-        assert quad_counts(t) == brute_quads_fast(t)
+        monkeypatch.setattr(counting, "_BLOCK_ROWS", rows)
+        t, quads, flag_hists = kernel_oracles(n)
+        assert quad_counts(t) == quads
         hists = arc_flag_count_arrays(t)
         for combo in FLAG_COMBOS:
-            assert np.array_equal(hists[combo], brute_flag_hist(t, combo))
+            assert np.array_equal(hists[combo], flag_hists[combo]), combo
+
+    @pytest.mark.parametrize("n", [5, 31, 32, 33])
+    def test_triples_by_vertex_match_brute_neighbourhoods(self, monkeypatch, n):
+        t = random_uniform(n, seed=n + 1)
+        want_out, want_in = [], []
+        for v in range(n):
+            for nb, want in ((t.out_neighbors(v), want_out), (t.in_neighbors(v), want_in)):
+                want.append(brute_triples(induced(t, nb))[0] if nb.size >= 3 else 0)
+        for rows in (1, 3, 16, 32):
+            monkeypatch.setattr(counting, "_BLOCK_ROWS", rows)
+            tr3_out, tr3_in = counting._transitive_triples_by_vertex(t)
+            assert tr3_out.tolist() == want_out, rows
+            assert tr3_in.tolist() == want_in, rows
 
     def test_exactness_guard_fires_before_allocating(self):
         for fn in (quad_counts, arc_flag_count_arrays, find_obstruction):
@@ -245,6 +271,17 @@ class TestSampledDensities:
     def test_se_formula(self):
         s = sampled_quad_densities(carousel(101), samples=10_000, seed=3)
         assert s.se_r4 == pytest.approx(np.sqrt(s.p_r4 * (1 - s.p_r4) / 10_000))
+
+    def test_classify4_batch_matches_classify4_on_every_orientation(self):
+        from tourney import classify4, from_arc_list
+        order = ["TR4", "W4", "L4", "R4"]
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        quads = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]])
+        for code in range(64):
+            t = from_arc_list(4, [(a, b) if code >> p & 1 else (b, a)
+                                  for p, (a, b) in enumerate(pairs)])
+            want = order.index(classify4(t).value)
+            assert classify4_batch(t, quads).tolist() == [want] * len(quads), code
 
     def test_classify4_batch_matches_brute(self):
         from tourney import classify4, induced

@@ -97,7 +97,7 @@ class TestFindObstruction:
         # transitive(n) with one flipped pair among p < q < r < s: flipping
         # (q, s) puts a 3-cycle under p (W4), flipping (p, r) one over s (L4)
         n = 20
-        monkeypatch.setattr(counting, "_BLOCK_BYTES", 8 * n * 3)
+        monkeypatch.setattr(counting, "_BLOCK_ROWS", 3)
         rng = np.random.default_rng(12)
         for _ in range(4):
             p, q, r, s = sorted(rng.choice(n, size=4, replace=False).tolist())
@@ -117,7 +117,7 @@ class TestFindObstruction:
                         assert brute_triples(induced(t, nb))[1] == 0
 
     def test_agrees_with_quad_census_across_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(counting, "_BLOCK_BYTES", 8 * 25 * 4)
+        monkeypatch.setattr(counting, "_BLOCK_ROWS", 4)
         rng = np.random.default_rng(13)
         for base in (carousel(25), random_uniform(25, seed=14)):
             m = base.matrix().copy()
