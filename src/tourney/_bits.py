@@ -31,18 +31,18 @@ def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     return bits[:, :n].astype(bool)
 
 
-def bit_index(v) -> tuple:
-    """(word, in-word shift) coordinates of column v; v may be an array."""
-    v = np.asarray(v)
-    return v >> 6, (v & 63).astype(np.uint64)
-
-
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
     """Number of set bits per row."""
     return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
 
 
-def test_bits(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Vectorized bit(rows[k], cols[k]) lookups against a packed matrix."""
-    word, shift = bit_index(cols)
-    return ((packed[rows, word] >> shift) & np.uint64(1)).astype(bool)
+def test_bits(packed: np.ndarray, rows, cols) -> np.ndarray:
+    """Vectorized bit(rows[k], cols[k]) lookups against a packed matrix.
+
+    Column j of a row is bit j & 7 of its byte j >> 3, so each lookup is one
+    byte read from the flat little-endian bytes of the words.
+    """
+    flat = packed.view(np.uint8).reshape(-1)
+    cols = np.asarray(cols)
+    at = np.asarray(rows, dtype=np.intp) * packed.shape[1] * 8 + (cols >> 3)
+    return ((np.take(flat, at) >> (cols & 7).astype(np.uint8)) & np.uint8(1)).view(bool)

@@ -94,8 +94,7 @@ class Tournament:
     def has_arc(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        word, shift = _bits.bit_index(v)
-        return bool((self._out[u, word] >> shift) & np.uint64(1))
+        return bool(_bits.test_bits(self._out, u, v))
 
     def outdegrees(self) -> np.ndarray:
         if self._outdeg is None:
@@ -130,7 +129,8 @@ class Tournament:
         return f"Tournament(n={self.n})"
 
 
-# rows per block of the pair scans: a (256, n) bool block is 1 MB at n = 4001
+# side of the square tiles of the pair scans: a (256, 256) bool tile and its
+# mirror take 128 KB, whatever n is
 _SCAN_ROWS = 256
 
 # stands in for a label beyond int64: out of range for any vertex count
@@ -140,18 +140,26 @@ _HUGE = 10 ** 18
 def _first_pair(m: np.ndarray, hit):
     """Lexicographically first pair (u, v), u < v, with hit(m[u, v], m[v, u]).
 
-    Scans the upper triangle in blocks of _SCAN_ROWS rows against the
-    transposed column block, so no n x n temporary is made; hit must be
-    symmetric in its arguments.
+    Scans the upper triangle in square tiles of side _SCAN_ROWS, tile
+    m[I, J] against the transposed mirror tile m[J, I], so no n x n
+    temporary is made and both tiles stay in cache; hit must be symmetric
+    in its arguments.  The first band of rows with a hit holds the pair:
+    the least of its tiles' first hits.
     """
     n = m.shape[0]
     for lo in range(0, n, _SCAN_ROWS):
         hi = min(lo + _SCAN_ROWS, n)
-        block = hit(m[lo:hi, lo:], m[lo:, lo:hi].T)
-        block[:, :hi - lo] = np.triu(block[:, :hi - lo], 1)
-        if block.any():
-            u, v = np.argwhere(block)[0]
-            return lo + int(u), lo + int(v)
+        found = []
+        for left in range(lo, n, _SCAN_ROWS):
+            right = min(left + _SCAN_ROWS, n)
+            tile = hit(m[lo:hi, left:right], m[left:right, lo:hi].T)
+            if left == lo:
+                tile = np.triu(tile, 1)
+            if tile.any():
+                u, v = np.argwhere(tile)[0]
+                found.append((lo + int(u), left + int(v)))
+        if found:
+            return min(found)
     return None
 
 

@@ -11,7 +11,8 @@ Both parsers funnel through the usual construction invariants, so
 self-loops, double orientations and missing pairs are rejected with the
 error taxonomy from errors.py.  Each format is read and written by whole
 numpy passes; lines and tokens are those of str.splitlines, str.strip,
-str.split and int().
+str.split and int().  A .trn text in exactly dumps_trn's layout is read in
+one byte pass, to the matrix the line parser would give.
 """
 
 from __future__ import annotations
@@ -64,7 +65,36 @@ def write_trn(t: Tournament, path: PathLike) -> str:
     return text
 
 
+def _canonical_trn(data: bytes) -> np.ndarray | None:
+    """The 0/1 uint8 matrix of a text in exactly the layout dumps_trn writes,
+    or None.
+
+    That layout is a decimal header with no sign, leading zero or
+    whitespace, a newline, then n rows of n '0'/'1' bytes each ending in a
+    newline.  The line parser reads such a text to the same matrix; any
+    other text is left to it.
+    """
+    # a header of at most _DIGITS digits, which int() always reads
+    head = data.find(b"\n", 0, _DIGITS + 1)
+    if head < 1 or not data[:head].isdigit() or data[0] == ord("0"):
+        return None
+    n = int(data[:head])
+    if len(data) != head + 1 + n * (n + 1):  # before anything of size n is made
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, offset=head + 1).reshape(n, n + 1)
+    bits = rows[:, :n] - np.uint8(ord("0"))
+    if bits.max() > 1 or (rows[:, n] != ord("\n")).any():
+        return None
+    return bits
+
+
 def loads_trn(text: str) -> Tournament:
+    bits = _canonical_trn(text.encode("ascii")) if text.isascii() else None
+    return Tournament(bits.view(bool)) if bits is not None else _loads_trn_lines(text)
+
+
+def _loads_trn_lines(text: str) -> Tournament:
+    """loads_trn for any text: lines as str.splitlines and str.strip see them."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TourneyError("empty .trn input")
@@ -93,8 +123,12 @@ def loads_trn(text: str) -> Tournament:
 
 
 def read_trn(path: PathLike) -> Tournament:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_trn(fh.read())
+    with open(path, "rb") as fh:
+        bits = _canonical_trn(fh.read())
+    if bits is not None:
+        return Tournament(bits.view(bool))
+    with open(path, "r", encoding="utf-8") as fh:  # the file's text, as loads_trn reads it
+        return _loads_trn_lines(fh.read())
 
 
 def _label_table(n: int, end: str) -> np.ndarray:

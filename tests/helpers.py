@@ -46,33 +46,52 @@ def brute_quads(t: Tournament) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
+def _subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), one per row, ascending and in
+    lexicographic order, built in numpy."""
+    if k == 1:
+        return np.arange(n, dtype=np.int64)[:, None]
+    rest = _subsets(n, k - 1)
+    # the rows of rest that start above x are its suffix from start[x]
+    start = np.searchsorted(rest[:, 0], np.arange(1, n + 1))
+    count = len(rest) - start
+    first = np.repeat(np.arange(n, dtype=np.int64), count)
+    # row r of x's group takes rest[start[x] + r]
+    at = np.arange(len(first)) - np.repeat(np.cumsum(count) - count - start, count)
+    return np.column_stack([first, rest[at]])
+
+
 def brute_quads_fast(t: Tournament) -> tuple[int, int, int, int]:
     """Same census as brute_quads but vectorised over all C(n,4) subsets.
 
     Still an independent oracle: works from the dense boolean matrix and
-    per-subset degree sort, no packed words anywhere.
+    per-subset outdegrees, no packed words anywhere.  The subsets go by
+    their least vertex a, a chunk of (a, b, c, d) with b < c < d above a.
     """
     n = t.n
     m = t.matrix()
-    quads = np.array(list(combinations(range(n), 4)), dtype=np.int64)
-    if quads.size == 0:
+    if n < 4:
         return (0, 0, 0, 0)
-    a, b, c, d = quads.T
-    deg = np.zeros((len(quads), 4), dtype=np.int8)
-    pairs = [(0, 1, a, b), (0, 2, a, c), (0, 3, a, d),
-             (1, 2, b, c), (1, 3, b, d), (2, 3, c, d)]
-    for i, j, u, v in pairs:
-        fwd = m[u, v]
-        deg[fwd, i] += 1
-        deg[~fwd, j] += 1
-    deg.sort(axis=1)
-    mx = deg[:, 3]
-    mn = deg[:, 0]
-    tr4 = int(np.count_nonzero(mx == 3) - np.count_nonzero((mx == 3) & (mn == 1)))
-    w4 = int(np.count_nonzero((mx == 3) & (mn == 1)))
-    l4 = int(np.count_nonzero((mx == 2) & (mn == 0)))
-    r4 = len(quads) - tr4 - w4 - l4
-    return (tr4, w4, l4, r4)
+    out = np.zeros(4, dtype=np.int64)
+    triples = _subsets(n, 3)
+    start = np.searchsorted(triples[:, 0], np.arange(1, n + 1))
+    for a in range(n - 3):
+        b, c, d = triples[start[a]:].T
+        deg = np.zeros((len(b), 4), dtype=np.int8)
+        pairs = [(0, 1, a, b), (0, 2, a, c), (0, 3, a, d),
+                 (1, 2, b, c), (1, 3, b, d), (2, 3, c, d)]
+        for i, j, u, v in pairs:
+            fwd = m[u, v]
+            deg[:, i] += fwd
+            deg[:, j] += ~fwd
+        # the score sequences (0,1,2,3), (1,1,1,3), (0,2,2,2) and (1,1,2,2)
+        # differ in their (max, min)
+        mx, mn = deg.max(axis=1), deg.min(axis=1)
+        w4 = np.count_nonzero((mx == 3) & (mn == 1))
+        tr4 = np.count_nonzero(mx == 3) - w4
+        l4 = np.count_nonzero((mx == 2) & (mn == 0))
+        out += (tr4, w4, l4, len(b) - tr4 - w4 - l4)
+    return tuple(int(x) for x in out)
 
 
 def brute_arc_flags(t: Tournament, u: int, v: int) -> tuple[int, int, int, int]:

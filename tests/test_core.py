@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tourney import _bits, core
 from tourney import (
     SmallClass3,
     SmallClass4,
@@ -128,6 +129,34 @@ def test_has_arc_and_neighbors():
         t.has_arc(0, 7)
     with pytest.raises(VertexOutOfRange):
         t.out_neighbors(-1)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65, 129])
+def test_test_bits_and_has_arc_match_the_matrix_on_every_pair(n):
+    # n = 7, 8, 9 end a row inside, at and past its first byte; 63, 64, 65
+    # and 129 at a word's edge
+    t = random_uniform(n, seed=n)
+    m = t.matrix()
+    u, v = np.divmod(np.arange(n * n), n)
+    got = _bits.test_bits(t.out_packed, u, v)
+    assert got.dtype == bool and np.array_equal(got, m.ravel())
+    assert np.array_equal(_bits.test_bits(t.out_packed, u.astype(np.int32), v.astype(np.int32)), m.ravel())
+    assert [t.has_arc(int(a), int(b)) for a, b in zip(u, v)] == m.ravel().tolist()
+
+
+def test_first_pair_takes_the_least_pair_of_a_band_not_of_its_first_tile(monkeypatch):
+    # with 4-row tiles, rows 0..3 form one band; its tile of columns 8..11
+    # is scanned before the one of columns 40..43, yet {1,40} comes first
+    monkeypatch.setattr(core, "_SCAN_ROWS", 4)
+    m = transitive(65).matrix()
+    m[10, 2] = m[40, 1] = True
+    assert core._first_pair(m, np.logical_and) == (1, 40)
+    with pytest.raises(ConflictingArc, match=r"\{1,40\}"):
+        Tournament(m)
+    m = transitive(65).matrix()
+    m[2, 10] = m[1, 40] = False
+    with pytest.raises(MissingArc, match=r"\{1,40\}"):
+        Tournament(m)
 
 
 def test_arcs_lexicographic_and_complete():

@@ -8,15 +8,17 @@ underscores, non-ASCII digits, extra tokens, non-integers, negative and
 huge labels (past int64, and past int()'s digit limit), self-loops, conflicts and missing pairs, often several errors
 in one file.
 """
+import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tourney import Tournament, from_arc_list
+from tourney import Tournament, from_arc_list, random_uniform
 from tourney.errors import MissingArc, TourneyError
 from tourney import core, io as tio
-from tourney.io import loads_arcs, loads_trn
+from tourney.io import dumps_trn, loads_arcs, loads_trn, read_trn
 
 from helpers import ref_from_arc_list, ref_loads_arcs, ref_loads_trn
 
@@ -172,6 +174,58 @@ def test_loads_trn_matches_reference(text, rows):
     with mock.patch.object(core, "_SCAN_ROWS", rows):
         got = outcome(loads_trn, text)
     assert got == outcome(ref_loads_trn, text)
+
+
+def _planted(n: int, *edits) -> str:
+    """dumps_trn of random_uniform(n, n) with the given (u, v, bit) cells set."""
+    m = random_uniform(n, seed=n).matrix()
+    for u, v, bit in edits:
+        m[u, v] = bit
+    return f"{n}\n" + "".join("".join("01"[int(b)] for b in row) + "\n" for row in m)
+
+
+# texts in exactly dumps_trn's layout: valid, a self-loop, a missing pair, and
+# two conflicts in different tiles of one row band at either tile side, where
+# the later tile holds the lexicographically first pair
+CANONICAL = [dumps_trn(random_uniform(n, seed=n)) for n in (1, 2, 7, 63, 64, 65, 300)] + [
+    _planted(7, (3, 3, 1)),
+    _planted(65, (5, 9, 0), (9, 5, 0)),
+    _planted(300, (2, 10, 1), (10, 2, 1), (1, 280, 1), (280, 1, 1)),
+]
+_T7 = dumps_trn(random_uniform(7, seed=7))
+# texts that differ from that layout in one way; the line parser reads them
+NEAR_CANONICAL = [
+    _T7.replace("\n", "\r\n"),
+    _T7.replace("\n", " \n", 2),
+    "+" + _T7,
+    "0" + _T7,
+    "1" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1) + _T7[1:],
+    _T7[:-1],
+    _T7[:-1] + "0",
+    _T7 + "\n",
+    _T7[:5] + "2" + _T7[6:],
+    _T7[:5] + "\xe9" + _T7[6:],
+    "1000000" + _T7[1:26],
+]
+
+
+@pytest.mark.parametrize("rows", [core._SCAN_ROWS, 4])
+def test_canonical_trn_matches_reference(rows, tmp_path):
+    def file_ref(path):  # the file's text, as the line parser has always read it
+        with open(path, encoding="utf-8") as fh:
+            return ref_loads_trn(fh.read())
+
+    path = tmp_path / "t.trn"
+    with mock.patch.object(core, "_SCAN_ROWS", rows):
+        for text in CANONICAL + NEAR_CANONICAL:
+            assert (tio._canonical_trn(text.encode()) is not None) == (text in CANONICAL)
+            want = outcome(ref_loads_trn, text)
+            assert outcome(loads_trn, text) == want, text[:40]
+            path.write_bytes(text.encode())
+            assert outcome(read_trn, path) == outcome(file_ref, path) == want, text[:40]
+        # bytes that are not UTF-8 fail as they always have
+        path.write_bytes(_T7[:5].encode() + b"\xff" + _T7[6:].encode())
+        assert outcome(read_trn, path) == outcome(file_ref, path)
 
 
 ARC_PAIRS = st.one_of(
