@@ -22,7 +22,9 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     if packed8.shape[1] < 8 * w:
         pad = np.zeros((r, 8 * w - packed8.shape[1]), dtype=np.uint8)
         packed8 = np.concatenate([packed8, pad], axis=1)
-    return packed8.view(np.uint64)
+    # packbits keeps the memory order of rows, and a column-major one has
+    # no contiguous rows of bytes to view as words
+    return np.ascontiguousarray(packed8).view(np.uint64)
 
 
 def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:

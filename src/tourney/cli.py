@@ -10,6 +10,7 @@ numpy's BLAS; its own setting (e.g. OPENBLAS_NUM_THREADS) caps the threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -84,6 +85,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# built once per process: parse_args keeps no state in the parser
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="tourney", description="Tournament generators, censuses and diagnostics.")
     sub = p.add_subparsers(dest="command", required=True)

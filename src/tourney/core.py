@@ -137,30 +137,35 @@ _SCAN_ROWS = 256
 _HUGE = 10 ** 18
 
 
+def _upper_tiles(n: int):
+    """Square tiles (I, J) of side _SCAN_ROWS, I.start <= J.start, that
+    cover the upper triangle of an n x n matrix: band of rows by band of
+    rows, the diagonal tile I == J first in each band."""
+    for lo in range(0, n, _SCAN_ROWS):
+        rows = slice(lo, min(lo + _SCAN_ROWS, n))
+        for left in range(lo, n, _SCAN_ROWS):
+            yield rows, slice(left, min(left + _SCAN_ROWS, n))
+
+
 def _first_pair(m: np.ndarray, hit):
     """Lexicographically first pair (u, v), u < v, with hit(m[u, v], m[v, u]).
 
-    Scans the upper triangle in square tiles of side _SCAN_ROWS, tile
-    m[I, J] against the transposed mirror tile m[J, I], so no n x n
-    temporary is made and both tiles stay in cache; hit must be symmetric
-    in its arguments.  The first band of rows with a hit holds the pair:
-    the least of its tiles' first hits.
+    Scans the upper tiles, tile m[I, J] against the transposed mirror tile
+    m[J, I], so no n x n temporary is made and both tiles stay in cache;
+    hit must be symmetric in its arguments.  The first band of rows with a
+    hit holds the pair: the least of its tiles' first hits.
     """
-    n = m.shape[0]
-    for lo in range(0, n, _SCAN_ROWS):
-        hi = min(lo + _SCAN_ROWS, n)
-        found = []
-        for left in range(lo, n, _SCAN_ROWS):
-            right = min(left + _SCAN_ROWS, n)
-            tile = hit(m[lo:hi, left:right], m[left:right, lo:hi].T)
-            if left == lo:
-                tile = np.triu(tile, 1)
-            if tile.any():
-                u, v = np.argwhere(tile)[0]
-                found.append((lo + int(u), left + int(v)))
-        if found:
-            return min(found)
-    return None
+    found = []
+    for rows, cols in _upper_tiles(m.shape[0]):
+        if rows == cols and found:  # a band with a hit is done
+            break
+        tile = hit(m[rows, cols], m[cols, rows].T)
+        if rows == cols:
+            tile = np.triu(tile, 1)
+        if tile.any():
+            u, v = np.argwhere(tile)[0]
+            found.append((rows.start + int(u), cols.start + int(v)))
+    return min(found) if found else None
 
 
 def _check_complete(m: np.ndarray) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tournament
+from .core import Tournament, _upper_tiles
 from .errors import EvenOrder, InvalidRatio
 
 
@@ -28,9 +28,11 @@ def carousel(m: int) -> Tournament:
     if m % 2 == 0:
         raise EvenOrder(f"carousel needs an odd order, got {m}")
     n = (m - 1) // 2
-    idx = np.arange(m)
-    dist = (idx[None, :] - idx[:, None]) % m  # forward circular distance u -> v
-    a = (dist >= 1) & (dist <= n)
+    # base[d]: does x beat x + d; row u is base read from d = -u (mod m), the
+    # window of the doubled base that starts at m - u
+    base = np.zeros(2 * m, dtype=bool)
+    base[1:n + 1] = base[m + 1:m + n + 1] = True
+    a = np.lib.stride_tricks.sliding_window_view(base, m)[m:0:-1].copy()
     return Tournament._from_validated(a)
 
 
@@ -46,21 +48,30 @@ def random_uniform(n: int, seed=None) -> Tournament:
     """Every pair oriented by an independent fair coin."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    a = np.zeros((n, n), dtype=bool)
-    a[upper] = _coins(rng, n)
-    return _complete_upper(a, upper)
+    return _complete_upper(_coin_matrix(np.random.default_rng(seed), n))
 
 
-def _coins(rng, n: int) -> np.ndarray:
-    """One fair coin per pair, drawn in lexicographic (u, v) order."""
-    return rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8).astype(bool)
+def _coin_matrix(rng, n: int) -> np.ndarray:
+    """An n x n bool matrix whose upper triangle holds one fair coin per
+    pair, drawn in lexicographic (u, v) order; the rest is unset."""
+    coins = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8).view(bool)
+    a = np.empty((n, n), dtype=bool)
+    start = 0
+    for u in range(n - 1):
+        a[u, u + 1:] = coins[start:start + n - 1 - u]
+        start += n - 1 - u
+    return a
 
 
-def _complete_upper(a: np.ndarray, upper: np.ndarray) -> Tournament:
-    """Orient each pair u < v against a[u, v], given on the upper triangle."""
-    a |= upper.T & ~a.T
+def _complete_upper(a: np.ndarray) -> Tournament:
+    """Orient each pair u < v against a[u, v], given on the upper triangle;
+    the diagonal and lower triangle of a are overwritten tile by tile."""
+    for rows, cols in _upper_tiles(a.shape[0]):
+        if rows == cols:
+            tile = a[rows, rows]
+            tile[...] = np.triu(tile, 1) | np.tril(~tile.T, -1)
+        else:
+            np.logical_not(a[rows, cols].T, out=a[cols, rows])
     return Tournament._from_validated(a)
 
 
@@ -108,21 +119,14 @@ def layered(spec: LayeredSpec) -> Tournament:
     of A_{i-1} \\ A_i, and all arcs inside one difference set (and inside the
     final core) are independent fair coins.
     """
-    N = spec.N
-    sizes = layer_sizes(N, spec.t)
-    # depth(v) = number of proper nested sets A_1.. containing v; prefixes
-    # make depth nonincreasing in the vertex index.
-    depth = np.zeros(N, dtype=np.int64)
-    for s in sizes[1:]:
-        depth[:s] += 1
-    rng = np.random.default_rng(spec.seed)
-    upper = np.triu(np.ones((N, N), dtype=bool), 1)
-    a = np.zeros((N, N), dtype=bool)
-    a[upper] = _coins(rng, N)
-    # u < v: either both sit in the same difference set (coin) or u is the
-    # deeper one and beats v.
-    a |= upper & (depth[:, None] != depth[None, :])
-    return _complete_upper(a, upper)
+    sizes = layer_sizes(spec.N, spec.t)
+    a = _coin_matrix(np.random.default_rng(spec.seed), spec.N)
+    # the difference set A_i \ A_{i+1} is the vertices lo..hi-1; for u < v
+    # either both sit in one difference set (coin) or u lies in a deeper
+    # one, and beats every v >= hi
+    for lo, hi in zip(sizes[1:] + [0], sizes):
+        a[lo:hi, hi:] = True
+    return _complete_upper(a)
 
 
 def digraphon_from_points(points) -> Tournament:
@@ -137,18 +141,17 @@ def digraphon_from_points(points) -> Tournament:
         raise ValueError("need a one-dimensional list of at least one coordinate")
     if ((xs < 0.0) | (xs >= 1.0)).any():
         raise ValueError("coordinates must lie in [0, 1)")
-    n = xs.size
-    diff = (xs[:, None] - xs[None, :]) % 1.0
-    a = diff < 0.5
-    np.fill_diagonal(a, False)
-    # Where the rule claims both directions (coinciding points) or neither
-    # (exact half distance), give the arc to the lower index.
-    tie = a == a.T
-    np.fill_diagonal(tie, False)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    a[tie & upper] = True
-    a[tie & ~upper] = False
-    return Tournament._from_validated(a)
+    a = np.empty((xs.size, xs.size), dtype=bool)
+    for rows, cols in _upper_tiles(xs.size):
+        d = xs[rows, None] - xs[None, cols]  # x_v - x_u is exactly -d
+        # (x_u - x_v) mod 1 and (x_v - x_u) mod 1 as numpy's % gives them for
+        # |d| < 1: d, plus 1 where d < 0
+        forward = d + (d < 0) < 0.5
+        backward = (d > 0) - d < 0.5
+        # where the rule claims both directions (coinciding points) or neither
+        # (exact half distance), the lower index u wins
+        np.logical_or(forward, ~backward, out=a[rows, cols])
+    return _complete_upper(a)
 
 
 def digraphon_sample(n: int, seed=None) -> Tournament:

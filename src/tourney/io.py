@@ -65,14 +65,15 @@ def write_trn(t: Tournament, path: PathLike) -> str:
     return text
 
 
-def _canonical_trn(data: bytes) -> np.ndarray | None:
+def _canonical_trn(data) -> np.ndarray | None:
     """The 0/1 uint8 matrix of a text in exactly the layout dumps_trn writes,
     or None.
 
     That layout is a decimal header with no sign, leading zero or
     whitespace, a newline, then n rows of n '0'/'1' bytes each ending in a
     newline.  The line parser reads such a text to the same matrix; any
-    other text is left to it.
+    other text is left to it.  A writable data (a bytearray) holds the
+    matrix in its own bytes afterwards, so it no longer holds the text.
     """
     # a header of at most _DIGITS digits, which int() always reads
     head = data.find(b"\n", 0, _DIGITS + 1)
@@ -82,14 +83,15 @@ def _canonical_trn(data: bytes) -> np.ndarray | None:
     if len(data) != head + 1 + n * (n + 1):  # before anything of size n is made
         return None
     rows = np.frombuffer(data, dtype=np.uint8, offset=head + 1).reshape(n, n + 1)
-    bits = rows[:, :n] - np.uint8(ord("0"))
-    if bits.max() > 1 or (rows[:, n] != ord("\n")).any():
+    if (rows[:, n] != ord("\n")).any():
         return None
-    return bits
+    bits = rows[:, :n] if rows.flags.writeable else rows[:, :n].copy()
+    bits -= np.uint8(ord("0"))
+    return bits if bits.max() <= 1 else None
 
 
 def loads_trn(text: str) -> Tournament:
-    bits = _canonical_trn(text.encode("ascii")) if text.isascii() else None
+    bits = _canonical_trn(bytearray(text, "ascii")) if text.isascii() else None
     return Tournament(bits.view(bool)) if bits is not None else _loads_trn_lines(text)
 
 
@@ -124,7 +126,10 @@ def _loads_trn_lines(text: str) -> Tournament:
 
 def read_trn(path: PathLike) -> Tournament:
     with open(path, "rb") as fh:
-        bits = _canonical_trn(fh.read())
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]  # a file that shrank since
+        data += fh.read()  # one that grew, or a pipe
+    bits = _canonical_trn(data)
     if bits is not None:
         return Tournament(bits.view(bool))
     with open(path, "r", encoding="utf-8") as fh:  # the file's text, as loads_trn reads it

@@ -351,3 +351,54 @@ def ref_loads_arcs(text: str, n: int | None = None) -> np.ndarray:
             a, b = next(p for p in combinations(range(n), 2) if p not in covered)
             raise MissingArc(f"no orientation for pair {{{a},{b}}}")
     return ref_from_arc_list(n, arcs)
+
+
+# ---------------------------------------------------------------------------
+# dense reference generators
+# ---------------------------------------------------------------------------
+#
+# The whole-matrix constructions the tiled generators replaced: a triu mask,
+# the lower triangle as upper.T & ~a.T, an int64 circular distance and a
+# float64 % 1.0.  Each returns the bool adjacency matrix.
+
+def _ref_coins_upper(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(the triu mask, a matrix holding one PCG64 coin per pair u < v)."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    a = np.zeros((n, n), dtype=bool)
+    a[upper] = rng.integers(0, 2, size=n * (n - 1) // 2, dtype=np.uint8).astype(bool)
+    return upper, a
+
+
+def ref_random_uniform(n: int, seed) -> np.ndarray:
+    upper, a = _ref_coins_upper(n, seed)
+    return a | (upper.T & ~a.T)
+
+
+def ref_layered(N: int, sizes, seed) -> np.ndarray:
+    """Nested prefixes of the given sizes; a deeper vertex beats a shallower one."""
+    depth = np.zeros(N, dtype=np.int64)
+    for s in sizes[1:]:
+        depth[:s] += 1
+    upper, a = _ref_coins_upper(N, seed)
+    a |= upper & (depth[:, None] != depth[None, :])
+    return a | (upper.T & ~a.T)
+
+
+def ref_carousel(m: int) -> np.ndarray:
+    idx = np.arange(m)
+    dist = (idx[None, :] - idx[:, None]) % m  # forward circular distance u -> v
+    return (dist >= 1) & (dist <= (m - 1) // 2)
+
+
+def ref_digraphon(xs) -> np.ndarray:
+    """Arc u -> v iff (x_u - x_v) % 1.0 < 1/2; a tie goes to the lower index."""
+    xs = np.asarray(xs, dtype=np.float64)
+    a = (xs[:, None] - xs[None, :]) % 1.0 < 0.5
+    np.fill_diagonal(a, False)
+    tie = a == a.T
+    np.fill_diagonal(tie, False)
+    upper = np.triu(np.ones((xs.size, xs.size), dtype=bool), 1)
+    a[tie & upper] = True
+    a[tie & ~upper] = False
+    return a

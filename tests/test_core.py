@@ -246,3 +246,12 @@ def test_equality_and_hash():
     assert a != c
     assert a != transitive(5)
     assert len({a, b, c}) == 2
+
+
+@pytest.mark.parametrize("n", [5, 64, 128])
+def test_constructor_takes_a_column_major_matrix(n):
+    # packbits keeps the input's memory order; at n = 64k its words used to
+    # be viewed from non-contiguous bytes
+    t = random_uniform(n, seed=n)
+    assert Tournament(np.asfortranarray(t.matrix())) == t
+    assert Tournament(t.matrix().T).matrix().tolist() == t.matrix().T.tolist()

@@ -1,11 +1,13 @@
 """Generator family: carousel, transitive, coin-flip, layered, circular kernel."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tourney import (
     LayeredSpec,
+    Tournament,
     carousel,
     digraphon_from_points,
     digraphon_sample,
@@ -14,8 +16,11 @@ from tourney import (
     random_uniform,
     transitive,
 )
+from tourney import core
 from tourney.errors import EvenOrder, InvalidRatio
 from tourney.io import dumps_trn
+
+from helpers import ref_carousel, ref_digraphon, ref_layered, ref_random_uniform
 
 
 def test_carousel_structure():
@@ -189,3 +194,88 @@ def test_generator_trn_sha256_pinned(kind, n, seed):
     else:
         t = layered(LayeredSpec(N=n, t=LAYERED_T[n], seed=seed))
     assert hashlib.sha256(dumps_trn(t).encode()).hexdigest() == TRN_PINS[kind, n, seed]
+
+
+# orders at and around the edges of the generators' square tiles (side
+# core._SCAN_ROWS = 256)
+TILE_EDGE_N = (1, 2, 3, 255, 256, 257, 513, 701)
+
+
+def _packed(m):
+    """The packed rows of a dense reference matrix, checked as a tournament."""
+    return Tournament(m).out_packed
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_N)
+def test_random_uniform_matches_the_dense_construction(n):
+    for seed in (0, 1, 2):
+        assert np.array_equal(random_uniform(n, seed).out_packed, _packed(ref_random_uniform(n, seed)))
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_N)
+def test_layered_matches_the_dense_construction(n):
+    for t in (0.3, 0.5, 0.9):
+        for seed in (0, 1, 2):
+            got = layered(LayeredSpec(N=n, t=t, seed=seed)).out_packed
+            assert np.array_equal(got, _packed(ref_layered(n, layer_sizes(n, t), seed))), (t, seed)
+
+
+@pytest.mark.parametrize("n", [n for n in TILE_EDGE_N if n % 2])
+def test_carousel_matches_the_dense_construction(n):
+    assert np.array_equal(carousel(n).out_packed, _packed(ref_carousel(n)))
+
+
+def _tie_heavy_points():
+    rng = np.random.default_rng(64)
+    below_one = np.nextafter(1.0, 0.0)
+    return {
+        # coinciding points and exact half distances everywhere
+        "grid64": rng.integers(0, 64, 701) / 64,
+        "coinciding": np.full(513, 0.3),
+        "halves": np.tile([0.0, 0.5, 0.25, 0.75], 65)[:257],
+        # 0 - nextafter(1, 0) wraps to 2**-53, next to the half-distance ties
+        "nextafter": rng.choice([0.0, below_one, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)], 300),
+        "uniform": rng.random(513),
+        "single": np.array([0.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tie_heavy_points()))
+def test_digraphon_from_points_matches_the_dense_construction(name):
+    xs = _tie_heavy_points()[name]
+    assert np.array_equal(digraphon_from_points(xs).out_packed, _packed(ref_digraphon(xs)))
+
+
+def test_generators_match_the_dense_constructions_across_small_tiles(monkeypatch):
+    # 3-wide tiles put many tile edges, and diagonal tiles cut short by n,
+    # into small orders
+    monkeypatch.setattr(core, "_SCAN_ROWS", 3)
+    for n in range(1, 15):
+        assert np.array_equal(random_uniform(n, n).out_packed, _packed(ref_random_uniform(n, n)))
+        got = layered(LayeredSpec(N=n, t=0.6, seed=n)).out_packed
+        assert np.array_equal(got, _packed(ref_layered(n, layer_sizes(n, 0.6), n)))
+        if n % 2:
+            assert np.array_equal(carousel(n).out_packed, _packed(ref_carousel(n)))
+        xs = np.random.default_rng(n).integers(0, 8, n) / 8
+        assert np.array_equal(digraphon_from_points(xs).out_packed, _packed(ref_digraphon(xs)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: random_uniform(n, 1),
+    lambda n: layered(LayeredSpec(N=n, t=0.3, seed=1)),
+    carousel,
+    lambda n: digraphon_sample(n, 1),
+], ids=["random", "layered", "carousel", "digraphon"])
+def test_generators_allocate_little_beyond_their_output(make):
+    # the n x n bool matrix is the only array of that size a generator makes,
+    # beside the C(n, 2) coins and the packed rows; whole-matrix masks,
+    # transposes or int64/float64 matrices would each add n**2 bytes or more
+    n = 2001
+    make(n)
+    tracemalloc.start()
+    try:
+        make(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * n * n + (2 << 20)

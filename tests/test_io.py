@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -49,6 +50,29 @@ def test_trn_file_roundtrip_byte_identical(tmp_path):
     write_trn(t, p1)
     write_trn(read_trn(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_canonical_trn_reads_a_bytearray_in_its_own_bytes():
+    text = dumps_trn(random_uniform(70, seed=3))
+    data = bytearray(text, "ascii")
+    bits = tio._canonical_trn(data)
+    assert np.shares_memory(bits, np.frombuffer(data, dtype=np.uint8))
+    assert np.array_equal(bits, random_uniform(70, seed=3).matrix())
+    # read-only bytes are left as they are
+    raw = text.encode()
+    assert np.array_equal(tio._canonical_trn(raw), bits) and raw.decode() == text
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_trn_reads_a_pipe(tmp_path):
+    # a pipe's size reads 0 before its text arrives
+    path = tmp_path / "in.trn"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(dumps_trn(carousel(65)),), daemon=True)
+    writer.start()
+    assert read_trn(path) == carousel(65)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_trn_tolerates_blank_lines_and_whitespace():
